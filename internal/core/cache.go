@@ -27,8 +27,11 @@ import (
 //	                   functionCache values are immutable copy-on-write
 //	                   snapshots. Write-locked only by RegisterFunction.
 //	2. Cache.admitMu   (Mutex) — the admission/eviction lock: the expiry
-//	                   heap, its stale count, and the eviction loop.
-//	                   Writers only; lookups never touch it.
+//	                   heap, its stale count, the victim set (the
+//	                   policy's incremental eviction candidates), and
+//	                   the eviction loop. Writers only; lookups never
+//	                   touch it — a hit advances its entry's atomics and
+//	                   the victim set re-keys lazily (victim.Heap).
 //	3. keyIndex.mu     (RWMutex, one per key type) — that key type's
 //	                   index structure and member map. Lookups on
 //	                   different functions (or different key types)
@@ -235,6 +238,7 @@ type counters struct {
 	expirations   atomic.Int64
 	invalidations atomic.Int64
 	savedCompute  atomic.Int64 // nanoseconds
+	rekeys        atomic.Int64 // stale victim-set keys refreshed by eviction
 }
 
 // Cache is the Potluck deduplication cache. Entries are organized first
@@ -242,11 +246,10 @@ type counters struct {
 // safe for concurrent use; see the concurrency-model comment above for
 // the lock hierarchy.
 type Cache struct {
-	cfg    Config
-	clk    clock.Clock
-	policy Policy
-	equal  func(a, b any) bool
-	rep    *Reputation
+	cfg   Config
+	clk   clock.Clock
+	equal func(a, b any) bool
+	rep   *Reputation
 
 	// realClk is true when clk is the wall clock, letting hot-path
 	// latency measurements use time.Since (one monotonic read) instead
@@ -272,16 +275,15 @@ type Cache struct {
 	bytes   atomic.Int64
 
 	// admitMu is the admission/eviction lock (second in the lock
-	// order): it guards expiry, staleExpiry, and the eviction loop.
-	// Only mutating operations take it; lookups check nextExpiry
+	// order): it guards expiry, staleExpiry, victims, and the eviction
+	// loop. Only mutating operations take it; lookups check nextExpiry
 	// instead.
 	admitMu sync.Mutex
 	expiry  expiryHeap
-	// evictScratch is the candidate slice reused across eviction rounds
-	// (guarded by admitMu). Entries linger in the backing array until
-	// the next eviction overwrites them — at most one round's worth of
-	// otherwise-dead pointers, traded for zero steady-state allocation.
-	evictScratch []*entry
+	// victims holds every admitted, still-published entry, ordered by
+	// the replacement policy, so each eviction costs O(log n) instead of
+	// a scan of the entry table.
+	victims victimSet
 	// staleExpiry counts heap items whose entry has already been
 	// removed (evicted or invalidated before its deadline). The heap is
 	// compacted when stale items outnumber live entries, so
@@ -308,6 +310,9 @@ type Cache struct {
 	tel   *telemetry.Telemetry
 	vecs  *telemetryVecs
 	spans *telemetry.SpanRecorder
+	// evictLat times each eviction pass that evicted (nil without
+	// telemetry, so a detached cache never reads the clock for it).
+	evictLat *telemetry.Histogram
 
 	// tap is the optional decision-stream observer (nil when Config.Tap
 	// was nil), hoisted like spans so hot paths test it with one nil
@@ -387,15 +392,19 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{
-		cfg:    cfg,
-		clk:    cfg.Clock,
-		policy: pol,
-		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
-		equal:  cfg.Equal,
-		funcs:  make(map[string]*functionCache),
-		store:  cfg.Store,
-		tap:    cfg.Tap,
+		cfg:   cfg,
+		clk:   cfg.Clock,
+		rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
+		equal: cfg.Equal,
+		funcs: make(map[string]*functionCache),
+		store: cfg.Store,
+		tap:   cfg.Tap,
 	}
+	c.victims = pol.newSet(func(n int) int {
+		c.rngMu.Lock()
+		defer c.rngMu.Unlock()
+		return c.rng.Intn(n)
+	})
 	_, c.realClk = c.clk.(clock.Real)
 	c.nextExpiry.Store(math.MaxInt64)
 	if cfg.Reputation != nil {
@@ -751,8 +760,7 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		}
 		return res, nil
 	}
-	e.accessCount.Add(1)
-	e.lastAccess.Store(now.UnixNano())
+	e.touch(now.UnixNano())
 	n := ki.ctr.hits.Add(1)
 	if ki.lat != nil && n&latSampleMask == 0 {
 		ki.lat.Observe(c.since(now))
@@ -1054,9 +1062,11 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		// BEFORE this put record, resurrecting the entry at replay.
 		c.store.LogPut(*durRec)
 	}
-	c.expiry.push(expiryItem{at: e.expiresAt, id: id})
-	c.updateNextExpiryLocked()
-	evicted, cause := c.evictLocked(now, id)
+	// Evict before admitting: the paper replaces the victim WITH the new
+	// entry (§3.6), so the new entry is never a candidate for its own
+	// put's eviction.
+	evicted, cause := c.evictLocked(now)
+	c.admitLocked(e)
 	c.admitMu.Unlock()
 	fc.stats.puts.Add(1)
 	if c.tap != nil {
@@ -1252,13 +1262,13 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 	return groups[best].rep, groups[best].repKey, nearest, probes, true, sawExpired
 }
 
-// evictLocked enforces the capacity bounds, excluding the just-inserted
-// entry (the paper replaces the victim WITH the new entry, §3.6).
-// Caller holds admitMu, which serializes evictions so two racing puts
-// cannot both evict for the same overflow. Returns how many entries
-// were evicted and which bound forced it ("entries", "bytes", or ""),
-// so the admitting put's span can name the eviction cause.
-func (c *Cache) evictLocked(now time.Time, exclude ID) (evicted int, cause string) {
+// evictLocked enforces the capacity bounds by evicting the victim
+// set's choice until they hold. Caller holds admitMu, which serializes
+// evictions so two racing puts cannot both evict for the same
+// overflow. Returns how many entries were evicted and which bound
+// forced it ("entries", "bytes", or ""), so the admitting put's span
+// can name the eviction cause.
+func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
 	over := func() bool {
 		if c.cfg.MaxEntries > 0 && c.count.Load() > int64(c.cfg.MaxEntries) {
 			if cause == "" {
@@ -1274,39 +1284,55 @@ func (c *Cache) evictLocked(now time.Time, exclude ID) (evicted int, cause strin
 		}
 		return false
 	}
-	for over() {
-		// evictScratch (guarded by admitMu, like the rest of the eviction
-		// state) is recycled across rounds and calls: at the replacement
-		// benchmark's churn rate, rebuilding the candidate slice per victim
-		// dominated the allocation profile.
-		cands := c.evictScratch[:0]
-		c.entries.forEach(func(e *entry) bool {
-			if e.id != exclude {
-				cands = append(cands, e)
-			}
-			return true
-		})
-		c.evictScratch = cands
-		if len(cands) == 0 {
-			return evicted, cause
+	if !over() {
+		return 0, ""
+	}
+	var start time.Time
+	if c.evictLat != nil {
+		start = time.Now()
+	}
+	rekeys := 0
+	for {
+		v, n := c.victims.Victim()
+		rekeys += n
+		if v == nil {
+			break
 		}
-		c.rngMu.Lock()
-		victim := c.policy.Victim(cands, now, c.rng)
-		c.rngMu.Unlock()
-		e := c.removeEntryLocked(victim)
+		e := c.removeEntryLocked(v.id)
 		if e == nil {
-			return evicted, cause
+			break
 		}
 		evicted++
-		c.ctr.evictions.Add(1)
 		if c.tel != nil {
 			c.tel.RecordEvent(telemetry.Event{
 				At: now.UnixNano(), Kind: telemetry.EventEvict,
 				Detail: e.app, Value: e.importance(), Aux: float64(e.size),
 			})
 		}
+		if !over() {
+			break
+		}
+	}
+	c.ctr.evictions.Add(int64(evicted))
+	c.ctr.rekeys.Add(int64(rekeys))
+	if c.evictLat != nil && evicted > 0 {
+		c.evictLat.Observe(time.Since(start))
 	}
 	return evicted, cause
+}
+
+// admitLocked enqueues a published entry's expiry and makes it an
+// eviction candidate. The entry joins the victim set only while the
+// entry table still holds it: a racing remover (InvalidateRadius, a
+// barred app's purge) may claim a published entry before its admitter
+// reaches admitMu, and its removal hook has then already run. Caller
+// holds admitMu.
+func (c *Cache) admitLocked(e *entry) {
+	c.expiry.push(expiryItem{at: e.expiresAt, id: e.id})
+	c.updateNextExpiryLocked()
+	if c.entries.load(e.id) == e {
+		c.victims.Admit(e)
+	}
 }
 
 // unlinkEntry detaches an already-claimed entry from its owner indices
@@ -1336,6 +1362,7 @@ func (c *Cache) removeEntryLocked(id ID) *entry {
 	if e == nil {
 		return nil
 	}
+	c.victims.Remove(e)
 	c.unlinkEntry(e)
 	if c.store != nil {
 		// Evictions and invalidations remove entries before their
@@ -1431,6 +1458,7 @@ func (c *Cache) purgeExpiredLocked(now time.Time) int {
 			}
 			continue
 		}
+		c.victims.Remove(e)
 		c.unlinkEntry(e)
 		c.ctr.expirations.Add(1)
 		purged++
@@ -1599,6 +1627,14 @@ type expiryItem struct {
 	id ID
 }
 
+// before orders items by deadline, then id. The id tie-break makes the
+// purge order of same-deadline entries independent of how the heap was
+// built (compaction rebuilds it in entry-table order), which keeps a
+// seeded random-eviction run reproducible.
+func (a expiryItem) before(b expiryItem) bool {
+	return a.at.Before(b.at) || (a.at.Equal(b.at) && a.id < b.id)
+}
+
 // expiryHeap is a binary min-heap on the deadline. The push/popMin/init
 // operations are implemented directly rather than through
 // container/heap: the interface-based API boxes every expiryItem into
@@ -1613,7 +1649,7 @@ func (h *expiryHeap) push(it expiryItem) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].at.Before(s[parent].at) {
+		if !s[i].before(s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -1644,10 +1680,10 @@ func (h expiryHeap) siftDown(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && h[r].at.Before(h[l].at) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			m = r
 		}
-		if !h[m].at.Before(h[i].at) {
+		if !h[m].before(h[i]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]

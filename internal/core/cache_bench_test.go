@@ -73,26 +73,69 @@ func BenchmarkLookupMiss(b *testing.B) {
 }
 
 // BenchmarkPutWithEviction measures puts against a full cache, where
-// every insertion selects and evicts a victim.
+// every insertion selects and evicts a victim. Each size is filled to
+// capacity before the timer starts, so every timed put evicts exactly
+// one entry and ns/op depends on the size in the name, not on b.N.
 func BenchmarkPutWithEviction(b *testing.B) {
-	cache := New(Config{
-		Clock:          clock.NewVirtual(time.Unix(0, 0)),
-		DisableDropout: true,
-		Tuner:          TunerConfig{WarmupZ: 1},
-		MaxEntries:     256,
-	})
-	if err := cache.RegisterFunction("f", KeyTypeSpec{Name: "k", Dim: 4}); err != nil {
-		b.Fatal(err)
+	for _, n := range []int{256, 4096, 65536} {
+		b.Run(fmt.Sprintf("entries-%d", n), func(b *testing.B) {
+			cache := New(Config{
+				Clock:          clock.NewVirtual(time.Unix(0, 0)),
+				DisableDropout: true,
+				Tuner:          TunerConfig{WarmupZ: 1},
+				MaxEntries:     n,
+			})
+			if err := cache.RegisterFunction("f", KeyTypeSpec{Name: "k", Dim: 4}); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			put := func(i int) {
+				key := vec.Vector{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+				if _, err := cache.Put("f", PutRequest{
+					Keys: map[string]vec.Vector{"k": key}, Value: i, Cost: time.Millisecond,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				put(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				put(n + i)
+			}
+		})
 	}
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := vec.Vector{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		if _, err := cache.Put("f", PutRequest{
-			Keys: map[string]vec.Vector{"k": key}, Value: i, Cost: time.Millisecond,
-		}); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// BenchmarkVictimSet times the eviction choice alone at each size:
+// one hit on a random resident (so importance keys go stale and the
+// heap has to re-key them), then pick the victim, remove it and admit
+// its replacement.
+func BenchmarkVictimSet(b *testing.B) {
+	for _, n := range []int{256, 4096, 65536} {
+		b.Run(fmt.Sprintf("entries-%d", n), func(b *testing.B) {
+			s := importancePolicy{}.newSet(nil)
+			rng := rand.New(rand.NewSource(3))
+			resident := make([]*entry, n)
+			admit := func(slot, id int) {
+				e := mkEntry(ID(id), time.Duration(1+rng.Intn(1000))*time.Microsecond, 1,
+					1+rng.Intn(4096), time.Time{}, time.Time{})
+				e.value = slot
+				resident[slot] = e
+				s.Admit(e)
+			}
+			for i := range resident {
+				admit(i, i+1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resident[rng.Intn(n)].touch(int64(i))
+				v, _ := s.Victim()
+				s.Remove(v)
+				admit(v.value.(int), n+i+1)
+			}
+		})
 	}
 }
 

@@ -271,7 +271,7 @@ func (c *Cache) Restore(state *DurableState) (RestoreStats, error) {
 		}
 	}
 	c.admitMu.Lock()
-	c.evictLocked(now, 0)
+	c.evictLocked(now)
 	c.admitMu.Unlock()
 	return stats, nil
 }
@@ -347,8 +347,7 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 	c.count.Add(1)
 	c.bytes.Add(int64(e.size))
 	c.admitMu.Lock()
-	c.expiry.push(expiryItem{at: e.expiresAt, id: id})
-	c.updateNextExpiryLocked()
+	c.admitLocked(e)
 	c.admitMu.Unlock()
 	return restoredOK
 }

@@ -10,6 +10,8 @@ package core
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/victim"
 )
 
 // entry is one live cached computation result. Identity fields (id,
@@ -47,8 +49,13 @@ type entry struct {
 	// put (§3.3: "access frequency is initialized to 1").
 	accessCount atomic.Int64
 	// lastAccess is the UnixNano time of the most recent hit (or the
-	// insertion time), read by the LRU eviction policy.
+	// insertion time), read by the LRU eviction policy. It only moves
+	// forward (see touch).
 	lastAccess atomic.Int64
+
+	// slot is the entry's position in the cache's victim set (1 + its
+	// index; 0 while not resident there). Guarded by Cache.admitMu.
+	slot int
 }
 
 // ID identifies an entry. It matches index.ID numerically.
@@ -60,11 +67,21 @@ type ID uint64
 //
 // (§3.3). It determines eviction order only; lookups never consult it.
 func (e *entry) importance() float64 {
-	size := e.size
-	if size <= 0 {
-		size = 1
+	return victim.Importance(e.cost, e.accessCount.Load(), e.size)
+}
+
+// touch records a lookup hit at nowNanos. lastAccess advances with a
+// compare-and-swap maximum, so a racing hit with an older timestamp
+// cannot move it back: the victim heap relies on scores that never
+// fall (see victim.Heap).
+func (e *entry) touch(nowNanos int64) {
+	e.accessCount.Add(1)
+	for {
+		last := e.lastAccess.Load()
+		if nowNanos <= last || e.lastAccess.CompareAndSwap(last, nowNanos) {
+			return
+		}
 	}
-	return e.cost.Seconds() * float64(e.accessCount.Load()) / float64(size)
 }
 
 // snapshot returns an immutable copy for safe external consumption.
@@ -103,11 +120,7 @@ type Entry struct {
 //
 // (§3.3), evaluated at snapshot time.
 func (e Entry) Importance() float64 {
-	size := e.size
-	if size <= 0 {
-		size = 1
-	}
-	return e.cost.Seconds() * float64(e.accessCount) / float64(size)
+	return victim.Importance(e.cost, e.accessCount, e.size)
 }
 
 // Value returns the cached result.

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
+
+	"repro/internal/victim"
 )
 
 // PolicyKind names a cache-entry replacement strategy. The paper's
@@ -19,17 +19,28 @@ const (
 	PolicyFIFO       PolicyKind = "fifo"       // insertion order (extra baseline)
 )
 
-// A Policy selects the victim entry when the cache is full. Victim is
-// always invoked under the cache's admission/eviction lock, so it sees
-// a stable candidate set; the per-entry access counters it reads are
-// atomics and may be concurrently bumped by lookups, which is harmless
-// for victim selection.
+// A Policy selects the victim entry when the cache is full. It builds
+// the incremental victim set the cache maintains as entries are
+// admitted and removed, so choosing a victim never scans the cache.
 type Policy interface {
-	// Victim returns the id of the entry to evict. entries is non-empty;
-	// implementations must return the id of one of its elements.
-	Victim(entries []*entry, now time.Time, rng *rand.Rand) ID
 	// Name returns the policy's kind.
 	Name() PolicyKind
+	// newSet returns an empty victim set. draw returns a uniform int in
+	// [0, n); only the random policy consumes it.
+	newSet(draw func(n int) int) victimSet
+}
+
+// victimSet is the cache's incremental eviction-candidate set. The
+// cache admits an entry once it is published and reachable, removes it
+// after the winning removal, and asks for a victim when over capacity.
+// All calls are serialized by Cache.admitMu.
+type victimSet interface {
+	Admit(e *entry)
+	Remove(e *entry) // no-op for an entry that is not resident
+	// Victim returns the entry to evict (nil when empty) without
+	// removing it, plus how many stale keys it re-keyed to find it.
+	Victim() (e *entry, rekeys int)
+	Len() int
 }
 
 // NewPolicy constructs the named policy.
@@ -47,61 +58,82 @@ func NewPolicy(kind PolicyKind) (Policy, error) {
 	return nil, fmt.Errorf("core: unknown eviction policy %q", kind)
 }
 
-// importancePolicy evicts the entry with the lowest importance value
-// (§3.6: "the least important entry will be evicted").
-type importancePolicy struct{}
+func entryID(e *entry) uint64 { return uint64(e.id) }
+func entrySlot(e *entry) *int { return &e.slot }
 
-func (importancePolicy) Victim(entries []*entry, _ time.Time, _ *rand.Rand) ID {
-	best := entries[0]
-	bestImp := best.importance()
-	for _, e := range entries[1:] {
-		if imp := e.importance(); imp < bestImp || (imp == bestImp && e.id < best.id) {
-			best, bestImp = e, imp
-		}
-	}
-	return best.id
-}
+// importancePolicy evicts the entry with the lowest importance value
+// (§3.6: "the least important entry will be evicted"), lower id first
+// on ties. Importance only rises while an entry is resident, so the
+// heap re-keys lazily (see victim.Heap).
+type importancePolicy struct{}
 
 func (importancePolicy) Name() PolicyKind { return PolicyImportance }
 
-// lruPolicy evicts the least recently used entry.
-type lruPolicy struct{}
-
-func (lruPolicy) Victim(entries []*entry, _ time.Time, _ *rand.Rand) ID {
-	best := entries[0]
-	bestLast := best.lastAccess.Load()
-	for _, e := range entries[1:] {
-		if last := e.lastAccess.Load(); last < bestLast ||
-			(last == bestLast && e.id < best.id) {
-			best, bestLast = e, last
-		}
-	}
-	return best.id
+func (importancePolicy) newSet(func(int) int) victimSet {
+	return victim.NewHeap((*entry).importance, entryID, entrySlot)
 }
+
+// lruPolicy evicts the least recently used entry, lower id first on
+// ties. lastAccess only moves forward (entry.touch), so the heap
+// re-keys lazily like importance.
+type lruPolicy struct{}
 
 func (lruPolicy) Name() PolicyKind { return PolicyLRU }
 
-// randomPolicy evicts a uniformly random entry.
-type randomPolicy struct{}
-
-func (randomPolicy) Victim(entries []*entry, _ time.Time, rng *rand.Rand) ID {
-	return entries[rng.Intn(len(entries))].id
+func (lruPolicy) newSet(func(int) int) victimSet {
+	return victim.NewHeap(func(e *entry) int64 { return e.lastAccess.Load() }, entryID, entrySlot)
 }
+
+// fifoPolicy evicts the oldest entry by insertion time, lower id first
+// on ties. Its keys never change, so it never re-keys.
+type fifoPolicy struct{}
+
+func (fifoPolicy) Name() PolicyKind { return PolicyFIFO }
+
+func (fifoPolicy) newSet(func(int) int) victimSet {
+	return victim.NewHeap(func(e *entry) int64 { return e.insertedAt.UnixNano() }, entryID, entrySlot)
+}
+
+// randomPolicy evicts a uniformly random resident entry.
+type randomPolicy struct{}
 
 func (randomPolicy) Name() PolicyKind { return PolicyRandom }
 
-// fifoPolicy evicts the oldest entry by insertion time.
-type fifoPolicy struct{}
+func (randomPolicy) newSet(draw func(int) int) victimSet { return &randomSet{draw: draw} }
 
-func (fifoPolicy) Victim(entries []*entry, _ time.Time, _ *rand.Rand) ID {
-	best := entries[0]
-	for _, e := range entries[1:] {
-		if e.insertedAt.Before(best.insertedAt) ||
-			(e.insertedAt.Equal(best.insertedAt) && e.id < best.id) {
-			best = e
-		}
-	}
-	return best.id
+// randomSet is an indexed slice with swap-remove. Its order follows
+// the admission and removal sequence, so with the cache's seeded rng a
+// replay evicts the same entries every run.
+type randomSet struct {
+	items []*entry
+	draw  func(n int) int
 }
 
-func (fifoPolicy) Name() PolicyKind { return PolicyFIFO }
+func (s *randomSet) Admit(e *entry) {
+	s.items = append(s.items, e)
+	e.slot = len(s.items)
+}
+
+func (s *randomSet) Remove(e *entry) {
+	i := e.slot - 1
+	if i < 0 {
+		return
+	}
+	e.slot = 0
+	last := len(s.items) - 1
+	if i != last {
+		s.items[i] = s.items[last]
+		s.items[i].slot = i + 1
+	}
+	s.items[last] = nil
+	s.items = s.items[:last]
+}
+
+func (s *randomSet) Victim() (*entry, int) {
+	if len(s.items) == 0 {
+		return nil, 0
+	}
+	return s.items[s.draw(len(s.items))], 0
+}
+
+func (s *randomSet) Len() int { return len(s.items) }

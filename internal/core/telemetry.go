@@ -112,6 +112,9 @@ func (c *Cache) initTelemetry() {
 		SetFunc(func() float64 { return float64(c.bytes.Load()) })
 	r.Counter("potluck_evictions_total", "Entries evicted by the replacement policy.").
 		SetFunc(c.ctr.evictions.Load)
+	r.Counter("potluck_evict_rekeys_total", "Stale victim-set keys refreshed while choosing eviction victims.").
+		SetFunc(c.ctr.rekeys.Load)
+	c.evictLat = r.Histogram("potluck_evict_seconds", "Time spent evicting, per put (or restore) that evicted.")
 	r.Counter("potluck_expirations_total", "Entries removed at TTL expiry.").
 		SetFunc(c.ctr.expirations.Load)
 	r.Counter("potluck_invalidations_total", "Entries removed by explicit invalidation.").

@@ -179,3 +179,58 @@ func TestTelemetryReRegistrationKeepsCounts(t *testing.T) {
 		t.Fatalf("Stats lost counts across re-registration: %+v", s)
 	}
 }
+
+// TestEvictionTelemetry: each put that evicts adds one potluck_evict_seconds
+// observation, and a hit that makes the heap head stale shows up in
+// potluck_evict_rekeys_total.
+func TestEvictionTelemetry(t *testing.T) {
+	tel := telemetry.New()
+	c := New(Config{Telemetry: tel, MaxEntries: 4, DisableDropout: true, Tuner: TunerConfig{WarmupZ: 1}})
+	if err := c.RegisterFunction("f", KeyTypeSpec{Name: "k", Dim: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ForceThreshold("f", "k", 0); err != nil {
+		t.Fatal(err)
+	}
+	put := func(i int) {
+		if _, err := c.Put("f", PutRequest{
+			Keys: map[string]vec.Vector{"k": {float64(i)}}, Value: i, Cost: time.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		put(i)
+	}
+	if n := c.evictLat.Count(); n != 0 {
+		t.Fatalf("%d eviction observations before the cache was full", n)
+	}
+	// Equal importance everywhere, so entry 0 (lowest id) heads the
+	// heap; hits raise its importance behind the heap's back.
+	for i := 0; i < 3; i++ {
+		if res, err := c.Lookup("f", "k", vec.Vector{0}); err != nil || !res.Hit {
+			t.Fatalf("lookup of resident key: hit=%v err=%v", res.Hit, err)
+		}
+	}
+	for i := 4; i < 7; i++ {
+		put(i)
+	}
+	if n := c.evictLat.Count(); n != 3 {
+		t.Errorf("potluck_evict_seconds count = %d, want 3 (one per evicting put)", n)
+	}
+	if c.Stats().Evictions != 3 || c.ctr.rekeys.Load() < 1 {
+		t.Errorf("evictions %d, rekeys %d; want 3 and at least 1", c.Stats().Evictions, c.ctr.rekeys.Load())
+	}
+	var b strings.Builder
+	if err := tel.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"potluck_evict_seconds_count 3",
+		fmt.Sprintf("potluck_evict_rekeys_total %d", c.ctr.rekeys.Load()),
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package whatif
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/vec"
+	"repro/internal/victim"
 )
 
 // ghost is one metadata-only shadow cache: it simulates the real
@@ -34,6 +36,10 @@ type ghost struct {
 	// scan — an approximation at 2⁻⁶⁴ odds.
 	byHash map[ktKey]map[uint64]uint64
 
+	// victims orders the resident entries by this ghost's policy, with
+	// the same heap and importance formula the real cache evicts by.
+	victims ghostVictims
+
 	bytes     int64
 	hits      uint64
 	misses    uint64
@@ -44,6 +50,14 @@ type ghost struct {
 	// after warmup — on small hosts the GC pressure would otherwise bill
 	// straight to the serving threads.
 	free *ghostEntry
+}
+
+// ghostVictims is the victim.Heap instantiation a ghost's policy
+// picks: int64 recency keys for LRU, float64 importance otherwise.
+type ghostVictims interface {
+	Admit(e *ghostEntry)
+	Remove(e *ghostEntry)
+	Victim() (e *ghostEntry, rekeys int)
 }
 
 // ktKey identifies one (function, keyType) series.
@@ -61,6 +75,7 @@ type ghostEntry struct {
 	insertedAt  int64
 	keys        []ghostKey
 	next        *ghostEntry // free-list link; nil while resident
+	slot        int         // victim-heap position (victim.Heap); 0 when not resident
 }
 
 type ghostKey struct {
@@ -78,6 +93,15 @@ func newGhost(mult float64, policy string, capEntries int, capBytes int64, rate 
 		policy:  policy,
 		entries: make(map[uint64]*ghostEntry),
 		byHash:  make(map[ktKey]map[uint64]uint64),
+	}
+	id := func(e *ghostEntry) uint64 { return e.id }
+	slot := func(e *ghostEntry) *int { return &e.slot }
+	if policy == "lru" {
+		g.victims = victim.NewHeap(func(e *ghostEntry) int64 { return e.lastAccess }, id, slot)
+	} else {
+		g.victims = victim.NewHeap(func(e *ghostEntry) float64 {
+			return victim.Importance(time.Duration(e.costNs), e.accessCount, e.size)
+		}, id, slot)
 	}
 	if capEntries > 0 {
 		g.capEntries = int(math.Round(float64(capEntries) * mult * rate))
@@ -116,8 +140,7 @@ func (g *ghost) lookup(kt ktKey, key vec.Vector, keyHash uint64, threshold float
 	// within every non-negative threshold — so the scan is skippable.
 	if id, ok := series[keyHash]; ok {
 		if e := g.entries[id]; e != nil && sameKey(e.keyFor(kt), key) {
-			e.accessCount++
-			e.lastAccess = atNanos
+			e.touch(atNanos)
 			g.hits++
 			return
 		}
@@ -139,8 +162,7 @@ func (g *ghost) lookup(kt ktKey, key vec.Vector, keyHash uint64, threshold float
 		}
 	}
 	if bestDist <= threshold && best != nil {
-		best.accessCount++
-		best.lastAccess = atNanos
+		best.touch(atNanos)
 		g.hits++
 		return
 	}
@@ -150,6 +172,16 @@ func (g *ghost) lookup(kt ktKey, key vec.Vector, keyHash uint64, threshold float
 	e.lastAccess, e.insertedAt = atNanos, atNanos
 	e.keys = append(e.keys, ghostKey{kt: kt, key: key, hash: keyHash})
 	g.put(e)
+}
+
+// touch records a hit. lastAccess keeps the latest timestamp seen, so
+// a tap event delivered out of order cannot lower a resident entry's
+// score, which the lazily re-keyed victim heap relies on.
+func (e *ghostEntry) touch(atNanos int64) {
+	e.accessCount++
+	if atNanos > e.lastAccess {
+		e.lastAccess = atNanos
+	}
 }
 
 // alloc returns a blank entry, reusing an evicted one when available.
@@ -211,14 +243,17 @@ func (g *ghost) put(e *ghostEntry) {
 		}
 		h[gk.hash] = e.id
 	}
+	// Evict before the new entry joins the victim heap, so it is never
+	// its own victim.
 	for g.overCap() {
-		v := g.victim(e.id)
+		v, _ := g.victims.Victim()
 		if v == nil {
 			break
 		}
 		g.remove(v)
 		g.evictions++
 	}
+	g.victims.Admit(e)
 }
 
 func (g *ghost) overCap() bool {
@@ -228,34 +263,8 @@ func (g *ghost) overCap() bool {
 	return g.capBytes > 0 && g.bytes > g.capBytes
 }
 
-// victim selects the eviction candidate: least-recently-used, or
-// minimum importance (cost·frequency/size, core's formula) — excluding
-// the just-admitted entry.
-func (g *ghost) victim(exclude uint64) *ghostEntry {
-	var v *ghostEntry
-	var vScore float64
-	for id, e := range g.entries {
-		if id == exclude {
-			continue
-		}
-		var score float64
-		if g.policy == "lru" {
-			score = float64(e.lastAccess)
-		} else {
-			size := e.size
-			if size <= 0 {
-				size = 1
-			}
-			score = float64(e.costNs) * float64(e.accessCount) / float64(size)
-		}
-		if v == nil || score < vScore {
-			v, vScore = e, score
-		}
-	}
-	return v
-}
-
 func (g *ghost) remove(e *ghostEntry) {
+	g.victims.Remove(e)
 	delete(g.entries, e.id)
 	g.bytes -= int64(e.size)
 	for _, gk := range e.keys {
