@@ -303,6 +303,77 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	}
 }
 
+// startBenchService serves a fresh cache (dropout off) over a Unix
+// socket until the benchmark run ends, and returns a client dialed to it.
+func startBenchService(b *testing.B) *potluck.Client {
+	b.Helper()
+	srv := potluck.NewServer(potluck.New(potluck.Config{
+		DisableDropout: true, Tuner: potluck.TunerConfig{WarmupZ: 1},
+	}))
+	sock := filepath.Join(b.TempDir(), "p.sock")
+	l, err := net.Listen("unix", sock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, l) }()
+	b.Cleanup(func() {
+		cancel()
+		srv.Close()
+		<-done
+	})
+	cl, err := potluck.Dial("unix", sock, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// BenchmarkIPCRoundTripDownsample times one lookup round trip of the
+// 768-d Downsample key a video-frame workload sends, against a fixed
+// table of entries extracted from one correlated synthetic feed and
+// stored before the timer starts; lookups cycle through the stored keys,
+// so every one is an exact hit and the wire frame is ~6 KiB.
+func BenchmarkIPCRoundTripDownsample(b *testing.B) {
+	const entries = 1024
+	b.Run(fmt.Sprintf("entries%d", entries), func(b *testing.B) {
+		feed := synth.NewVideo(synth.VideoConfig{W: 64, H: 48, Seed: 1, CutEvery: 256})
+		ext := feature.Downsample{}
+		keys := make([]vec.Vector, entries)
+		subs := make([]potluck.PutSub, entries)
+		for i := range keys {
+			keys[i] = ext.Extract(feed.Frame(i)).Key
+			subs[i] = potluck.PutSub{
+				Function: "f",
+				Keys:     map[string]potluck.Vector{ext.Name(): keys[i]},
+				Value:    []byte(fmt.Sprint(i)),
+			}
+		}
+		cl := startBenchService(b)
+		if err := cl.Register("f", potluck.KeyTypeDef{
+			Name: ext.Name(), Metric: "euclidean", Index: "kdtree", Dim: feature.DownsampleDims,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cl.MultiPut(subs); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := cl.Lookup("f", ext.Name(), keys[i%entries])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Hit {
+				b.Fatal("stored key missed")
+			}
+		}
+	})
+}
+
 // BenchmarkMultiLookup times one lookup when batched over the
 // Unix-socket service at batch sizes 1, 4 and 16 (one MultiLookup wire
 // frame per batch), so ns/op is directly comparable with
@@ -311,27 +382,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 func BenchmarkMultiLookup(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			srv := potluck.NewServer(potluck.New(potluck.Config{
-				DisableDropout: true, Tuner: potluck.TunerConfig{WarmupZ: 1},
-			}))
-			sock := filepath.Join(b.TempDir(), "p.sock")
-			l, err := net.Listen("unix", sock)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(ctx, l) }()
-			defer func() {
-				cancel()
-				srv.Close()
-				<-done
-			}()
-			cl, err := potluck.Dial("unix", sock, "bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
+			cl := startBenchService(b)
 			if err := cl.Register("f", potluck.KeyTypeDef{Name: "k"}); err != nil {
 				b.Fatal(err)
 			}

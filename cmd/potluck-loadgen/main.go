@@ -118,7 +118,7 @@ func main() {
 	// Every target registers the function and holds the seed set, so the
 	// measured run starts from the same warm state on every peer.
 	for _, tgt := range targets {
-		cl, err := service.Dial(*network, tgt, "loadgen-seed")
+		cl, err := service.Dial(*network, tgt, seedApp)
 		if err != nil {
 			log.Fatalf("potluck-loadgen: dial %s: %v", tgt, err)
 		}
@@ -255,21 +255,15 @@ func buildKeyPools(devices, keys int, seed int64) [][]vec.Vector {
 	return pools
 }
 
+// seedApp is the application name the seeding connection dials under.
+const seedApp = "loadgen-seed"
+
 // seedPools inserts every pool key up front so the measured run exercises
 // the hit path (the steady state the paper cares about); -put-ratio keeps
 // the write path in the mix.
 func seedPools(cl *service.Client, pools [][]vec.Vector) {
 	kt := feature.Downsample{}.Name()
-	subs := make([]service.PutSub, 0, service.MaxBatch)
-	flush := func() {
-		if len(subs) == 0 {
-			return
-		}
-		if _, err := cl.MultiPut(subs); err != nil {
-			log.Fatalf("potluck-loadgen: seed puts: %v", err)
-		}
-		subs = subs[:0]
-	}
+	var subs []service.PutSub
 	for d, pool := range pools {
 		for i, key := range pool {
 			subs = append(subs, service.PutSub{
@@ -278,12 +272,39 @@ func seedPools(cl *service.Client, pools [][]vec.Vector) {
 				Value:    []byte(fmt.Sprintf("result-%d-%d", d, i)),
 				Cost:     int64(10 * time.Millisecond),
 			})
-			if len(subs) == service.MaxBatch {
-				flush()
-			}
 		}
 	}
-	flush()
+	for _, batch := range splitPuts(subs, seedApp, service.MaxMessageSize) {
+		if _, err := cl.MultiPut(batch); err != nil {
+			log.Fatalf("potluck-loadgen: seed puts: %v", err)
+		}
+	}
+}
+
+// splitPuts cuts subs, in order, into MultiPut frames of at most
+// service.MaxBatch sub-operations whose encoded request, sent under app,
+// is at most maxBytes. A sub-operation too large for any frame gets one
+// of its own, which the client then refuses.
+func splitPuts(subs []service.PutSub, app string, maxBytes int) [][]service.PutSub {
+	// An empty batch frame: the envelope plus the sub-op count. Each
+	// sub-op adds its length-prefixed encoding.
+	empty := len(service.EncodeRequest(&service.Request{
+		Type: service.MsgMultiPut, App: app, Value: service.EncodePutSubs(nil),
+	}))
+	var frames [][]service.PutSub
+	start, size := 0, empty
+	for i, s := range subs {
+		n := len(service.EncodePutSubs([]service.PutSub{s})) - len(service.EncodePutSubs(nil))
+		if i > start && (i-start == service.MaxBatch || size+n > maxBytes) {
+			frames = append(frames, subs[start:i])
+			start, size = i, empty
+		}
+		size += n
+	}
+	if start < len(subs) {
+		frames = append(frames, subs[start:])
+	}
+	return frames
 }
 
 type runConfig struct {

@@ -353,3 +353,49 @@ func TestKNearestMonotoneProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestKDTreeNearestMatchesOracleWithDuplicates: with the early-abandon
+// distance the KD-tree still returns the linear-scan winner, its exact
+// distance and the min-ID tie-break, on keys stored more than once and
+// at dimensions that exercise the chunked sum's tail.
+func TestKDTreeNearestMatchesOracleWithDuplicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, dim := range []int{3, 17, 768} {
+		kd := NewKDTree(vec.EuclideanMetric{})
+		keys := map[ID]vec.Vector{}
+		for i := 0; i < 200; i++ {
+			v := randomVec(rng, dim)
+			if i > 0 && rng.Intn(3) == 0 {
+				v = keys[ID(rng.Intn(i))] // a duplicate under a new ID
+			}
+			keys[ID(i)] = v
+			kd.Insert(ID(i), v)
+		}
+		for i := 0; i < 40; i++ {
+			id := ID(rng.Intn(200))
+			kd.Remove(id)
+			delete(keys, id)
+		}
+		for q := 0; q < 60; q++ {
+			query := randomVec(rng, dim)
+			if q%2 == 0 {
+				for _, k := range keys { // exact-match queries hit duplicates
+					query = k
+					break
+				}
+			}
+			want := Neighbor{Dist: math.Inf(1)}
+			for id, k := range keys {
+				d := vec.SquaredEuclidean(query, k)
+				if d < want.Dist || (d == want.Dist && id < want.ID) {
+					want = Neighbor{ID: id, Dist: d}
+				}
+			}
+			want.Dist = math.Sqrt(want.Dist)
+			got, ok := kd.Nearest(query)
+			if !ok || got.ID != want.ID || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+				t.Fatalf("dim %d query %d: got (%d, %v, %v), want (%d, %v)", dim, q, got.ID, got.Dist, ok, want.ID, want.Dist)
+			}
+		}
+	}
+}

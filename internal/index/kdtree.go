@@ -223,7 +223,9 @@ func (t *KDTree) nearestSq(n *kdNode, key vec.Vector, best *Neighbor, visited *i
 	}
 	*visited++
 	if !n.deleted {
-		d := vec.SquaredEuclidean(key, n.key)
+		// A distance past the best so far can lose no matter its exact
+		// value, so its sum may stop early; one within it is exact.
+		d := vec.SquaredEuclideanBounded(key, n.key, best.Dist)
 		if d < best.Dist || (d == best.Dist && n.id < best.ID) {
 			*best = Neighbor{ID: n.id, Key: n.key, Dist: d}
 		}

@@ -126,13 +126,14 @@ func newClientConn(conn net.Conn, onBroken func()) *clientConn {
 // delivers each to the oldest waiter. It exits when the connection
 // fails or is closed.
 func (cc *clientConn) readLoop() {
+	fr := newFrameReader(cc.conn)
 	for {
-		payload, err := ReadFrame(cc.conn)
+		payload, err := fr.next()
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: read: %w", ErrConnBroken, err))
 			return
 		}
-		reply, err := DecodeReply(payload)
+		reply, err := DecodeReply(payload) // copies out of the read buffer
 		if err != nil {
 			// A reply we cannot parse means the stream is desynchronized.
 			cc.fail(fmt.Errorf("%w: %w", ErrConnBroken, err))
@@ -184,7 +185,7 @@ func (cc *clientConn) healthy() bool {
 // frame, wait for the FIFO-matched reply. timeout bounds the whole trip
 // (<= 0 means no limit); an overrun poisons the connection, because a
 // reply we walked away from would desynchronize the stream.
-func (cc *clientConn) send(frame []byte, timeout time.Duration) (*Reply, error) {
+func (cc *clientConn) send(f *wireFrame, timeout time.Duration) (*Reply, error) {
 	ch := make(chan replyOrErr, 1)
 	cc.writeMu.Lock()
 	cc.pendMu.Lock()
@@ -199,10 +200,7 @@ func (cc *clientConn) send(frame []byte, timeout time.Duration) (*Reply, error) 
 	if timeout > 0 {
 		cc.conn.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	err := WriteFrame(cc.conn, frame)
-	if timeout > 0 {
-		cc.conn.SetWriteDeadline(time.Time{})
-	}
+	err := f.writeTo(cc.conn)
 	cc.writeMu.Unlock()
 	if err != nil {
 		// The frame may be partially written: the stream is unusable.
@@ -417,12 +415,15 @@ func (c *Client) backoff(attempt int) time.Duration {
 // trips pipeline over the shared connection.
 func (c *Client) roundTrip(req *Request) (*Reply, error) {
 	req.App = c.app
-	frame := EncodeRequest(req)
-	if len(frame) > MaxMessageSize {
-		// Reject before any bytes hit the wire (the server would cut the
-		// connection on the oversize prefix); the connection stays clean.
-		return nil, fmt.Errorf("%w: request is %d bytes", ErrMessageTooLarge, len(frame))
+	// An oversize request is rejected before any bytes hit the wire (the
+	// server would cut the connection on the oversize prefix); the
+	// connection stays clean.
+	f, err := requestFrame(req)
+	if err != nil {
+		return nil, err
 	}
+	// Every attempt's write has returned by the time roundTrip does.
+	defer f.release()
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -441,7 +442,7 @@ func (c *Client) roundTrip(req *Request) (*Reply, error) {
 			lastErr = err // dial failure: back off and retry
 			continue
 		}
-		reply, err := cc.send(frame, c.cfg.RequestTimeout)
+		reply, err := cc.send(f, c.cfg.RequestTimeout)
 		if err == nil {
 			if reply.Type == MsgReplyError {
 				// The server answered; its error is final and the

@@ -80,14 +80,30 @@ func FuzzDecodeReply(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame checks the framing layer against hostile prefixes.
+// FuzzReadFrame checks the framing layer against hostile prefixes, and
+// checks that the buffered connection reader yields the same frames as
+// ReadFrame, and stops the same way, however the bytes arrive.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
 	WriteFrame(&good, []byte("payload"))
 	f.Add(good.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
+	// Streams of frames: every message type back to back, then after a
+	// frame larger than the read buffer, and cut short.
+	reqs, _ := goldenMessages()
+	var stream []byte
+	for _, r := range reqs {
+		stream = append(stream, frame(EncodeRequest(r))...)
+	}
+	large := frame(make([]byte, readBufferSize+10))
+	f.Add(stream)
+	f.Add(append(append([]byte(nil), stream...), large...))
+	f.Add(append(append([]byte(nil), large...), stream[:len(stream)-3]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, chunk := range []int{1, 7, readBufferSize} {
+			sameFrames(t, data, chunk)
+		}
 		payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -153,40 +169,55 @@ func FuzzServerStream(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})                                                // oversize length prefix
 	f.Add([]byte{0, 0, 0})                                                                        // short header
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := NewServerConfig(core.New(core.Config{DisableDropout: true}), ServerConfig{
-			IdleTimeout: 200 * time.Millisecond,
-			ReadTimeout: 200 * time.Millisecond,
-		})
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.handleConn(server, &connState{})
-		}()
-		// Drain replies concurrently (net.Pipe is unbuffered, so an
-		// unread reply would wedge the handler) and check each decodes.
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for {
-				payload, err := ReadFrame(client)
-				if err != nil {
-					return
-				}
-				if _, err := DecodeReply(payload); err != nil {
-					t.Errorf("server emitted undecodable reply: %v", err)
-				}
-			}
-		}()
-		client.Write(data)
-		client.Close()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("connection handler hung on hostile input")
-		}
-		<-drained
+		// All at once, then in 3-byte writes so frames straddle the
+		// buffered reader's fills.
+		serveStream(t, data, len(data))
+		serveStream(t, data, 3)
 	})
+}
+
+// serveStream runs one connection handler over data, written in writes
+// of at most chunk bytes.
+func serveStream(t *testing.T, data []byte, chunk int) {
+	srv := NewServerConfig(core.New(core.Config{DisableDropout: true}), ServerConfig{
+		IdleTimeout: 200 * time.Millisecond,
+		ReadTimeout: 200 * time.Millisecond,
+	})
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.handleConn(server, &connState{})
+	}()
+	// Drain replies concurrently (net.Pipe is unbuffered, so an
+	// unread reply would wedge the handler) and check each decodes.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			payload, err := ReadFrame(client)
+			if err != nil {
+				return
+			}
+			if _, err := DecodeReply(payload); err != nil {
+				t.Errorf("server emitted undecodable reply: %v", err)
+			}
+		}
+	}()
+	for rest := data; len(rest) > 0; {
+		n := min(chunk, len(rest))
+		if _, err := client.Write(rest[:n]); err != nil {
+			break // the handler hung up
+		}
+		rest = rest[n:]
+	}
+	client.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection handler hung on hostile input")
+	}
+	<-drained
 }
 
 // FuzzClientReply drives the client's reply path with arbitrary bytes

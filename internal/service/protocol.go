@@ -11,8 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -203,10 +203,28 @@ func (e *encoder) bytes(b []byte) {
 }
 func (e *encoder) vector(v vec.Vector) {
 	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
+	dst := e.buf[off:]
+	for i, x := range v {
+		binary.BigEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 	}
 }
+
+// beginSub reserves a sub-operation's length prefix and returns where
+// the sub-operation starts; endSub fills the prefix in.
+func (e *encoder) beginSub() int {
+	e.u32(0)
+	return len(e.buf)
+}
+
+func (e *encoder) endSub(start int) {
+	binary.BigEndian.PutUint32(e.buf[start-4:], uint32(len(e.buf)-start))
+}
+
+// Encoded sizes, so a frame is sized once before it is encoded.
+func strSize(s string) int        { return 4 + len(s) }
+func vectorSize(v vec.Vector) int { return 4 + 8*len(v) }
 
 type decoder struct {
 	buf []byte
@@ -293,9 +311,11 @@ func (d *decoder) vector() vec.Vector {
 		d.fail()
 		return nil
 	}
+	src := d.buf[d.off : d.off+8*int(n)]
+	d.off += len(src)
 	v := make(vec.Vector, n)
 	for i := range v {
-		v[i] = d.f64()
+		v[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
 	}
 	return v
 }
@@ -315,17 +335,31 @@ func (d *decoder) sub() []byte {
 
 // EncodeRequest serializes a request payload (without the frame header).
 func EncodeRequest(r *Request) []byte {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, requestSize(r))}
+	e.request(r)
+	return e.buf
+}
+
+// requestSize is the encoded length of r's payload.
+func requestSize(r *Request) int {
+	n := 1 + strSize(r.App) + strSize(r.Function) + strSize(r.KeyType) + vectorSize(r.Key) + 4
+	for name, k := range r.Keys {
+		n += strSize(name) + vectorSize(k)
+	}
+	n += 4
+	for _, kt := range r.KeyTypes {
+		n += strSize(kt.Name) + strSize(kt.Metric) + strSize(kt.Index) + 4
+	}
+	return n + 4 + len(r.Value) + 3*8 + 8
+}
+
+func (e *encoder) request(r *Request) {
 	e.u8(uint8(r.Type))
 	e.str(r.App)
 	e.str(r.Function)
 	e.str(r.KeyType)
 	e.vector(r.Key)
-	e.u32(uint32(len(r.Keys)))
-	for _, k := range sortedKeys(r.Keys) {
-		e.str(k.name)
-		e.vector(k.key)
-	}
+	e.keys(r.Keys)
 	e.u32(uint32(len(r.KeyTypes)))
 	for _, kt := range r.KeyTypes {
 		e.str(kt.Name)
@@ -338,7 +372,16 @@ func EncodeRequest(r *Request) []byte {
 	e.i64(r.Size)
 	e.i64(r.TTL)
 	e.u64(r.Trace)
-	return e.buf
+}
+
+// keys encodes a key map as a count and name-sorted (name, vector)
+// pairs.
+func (e *encoder) keys(m map[string]vec.Vector) {
+	e.u32(uint32(len(m)))
+	for _, k := range sortedKeys(m) {
+		e.str(k.name)
+		e.vector(k.key)
+	}
 }
 
 type namedKey struct {
@@ -412,7 +455,17 @@ func DecodeRequest(buf []byte) (*Request, error) {
 
 // EncodeReply serializes a reply payload.
 func EncodeReply(r *Reply) []byte {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, replySize(r))}
+	e.reply(r)
+	return e.buf
+}
+
+// replySize is the encoded length of r's payload.
+func replySize(r *Reply) int {
+	return 1 + strSize(r.Error) + 2 + 4 + len(r.Value) + 4*8 + 9*8 + 8
+}
+
+func (e *encoder) reply(r *Reply) {
 	e.u8(uint8(r.Type))
 	e.str(r.Error)
 	e.bool(r.Hit)
@@ -423,12 +476,11 @@ func EncodeReply(r *Reply) []byte {
 	e.i64(r.MissedAt)
 	e.u64(r.ID)
 	s := r.Stats
-	for _, v := range []int64{s.Hits, s.Misses, s.Dropouts, s.Puts,
+	for _, v := range [...]int64{s.Hits, s.Misses, s.Dropouts, s.Puts,
 		s.Evictions, s.Expirations, s.Entries, s.Bytes, s.SavedComputeN} {
 		e.i64(v)
 	}
 	e.u64(r.Trace)
-	return e.buf
 }
 
 // DecodeReply parses a reply payload.
@@ -540,14 +592,13 @@ func (d *decoder) batchCount() (int, error) {
 func EncodeLookupSubs(subs []LookupSub) []byte {
 	var e encoder
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Function)
-		se.str(s.KeyType)
-		se.vector(s.Key)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		start := e.beginSub()
+		e.str(s.Function)
+		e.str(s.KeyType)
+		e.vector(s.Key)
+		e.u64(s.Trace)
+		e.endSub(start)
 	}
 	return e.buf
 }
@@ -583,18 +634,17 @@ func DecodeLookupSubs(buf []byte) ([]LookupSub, error) {
 func EncodeLookupSubReplies(subs []LookupSubReply) []byte {
 	var e encoder
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Error)
-		se.bool(s.Hit)
-		se.bool(s.Dropout)
-		se.bytes(s.Value)
-		se.f64(s.Distance)
-		se.f64(s.Threshold)
-		se.i64(s.MissedAt)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		start := e.beginSub()
+		e.str(s.Error)
+		e.bool(s.Hit)
+		e.bool(s.Dropout)
+		e.bytes(s.Value)
+		e.f64(s.Distance)
+		e.f64(s.Threshold)
+		e.i64(s.MissedAt)
+		e.u64(s.Trace)
+		e.endSub(start)
 	}
 	return e.buf
 }
@@ -634,21 +684,16 @@ func DecodeLookupSubReplies(buf []byte) ([]LookupSubReply, error) {
 func EncodePutSubs(subs []PutSub) []byte {
 	var e encoder
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Function)
-		se.u32(uint32(len(s.Keys)))
-		for _, k := range sortedKeys(s.Keys) {
-			se.str(k.name)
-			se.vector(k.key)
-		}
-		se.bytes(s.Value)
-		se.i64(s.Cost)
-		se.i64(s.Size)
-		se.i64(s.TTL)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		start := e.beginSub()
+		e.str(s.Function)
+		e.keys(s.Keys)
+		e.bytes(s.Value)
+		e.i64(s.Cost)
+		e.i64(s.Size)
+		e.i64(s.TTL)
+		e.u64(s.Trace)
+		e.endSub(start)
 	}
 	return e.buf
 }
@@ -694,13 +739,12 @@ func DecodePutSubs(buf []byte) ([]PutSub, error) {
 func EncodePutSubReplies(subs []PutSubReply) []byte {
 	var e encoder
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Error)
-		se.u64(s.ID)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		start := e.beginSub()
+		e.str(s.Error)
+		e.u64(s.ID)
+		e.u64(s.Trace)
+		e.endSub(start)
 	}
 	return e.buf
 }
@@ -728,35 +772,4 @@ func DecodePutSubReplies(buf []byte) ([]PutSubReply, error) {
 		return nil, d.err
 	}
 	return subs, nil
-}
-
-// WriteFrame writes a length-prefixed message.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxMessageSize {
-		return ErrMessageTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed message.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -250,12 +248,6 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Close stops accepting and shuts the service down gracefully: idle
 // connections are closed immediately, in-flight requests get
 // DrainTimeout to finish their reply, and whatever remains after that is
@@ -317,46 +309,42 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// readRequest reads one request frame under the idle/read deadlines.
-func (s *Server) readRequest(conn net.Conn) ([]byte, error) {
-	if d := s.cfg.IdleTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
-	}
-	// The header is in; the body gets its own (typically tighter) budget
-	// so a peer cannot stretch one request to IdleTimeout per byte.
-	if d := s.cfg.ReadTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	conn.SetReadDeadline(time.Time{})
-	return buf, nil
-}
-
-// writeReply writes one reply frame under the write deadline.
+// writeReply writes one reply frame under the write deadline. A reply
+// over MaxMessageSize is refused with ErrMessageTooLarge before a byte
+// is written.
 func (s *Server) writeReply(conn net.Conn, reply *Reply) error {
+	f, err := replyFrame(reply)
+	if err != nil {
+		return err
+	}
+	defer f.release()
 	if d := s.cfg.WriteTimeout; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
-		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return WriteFrame(conn, EncodeReply(reply))
+	return f.writeTo(conn)
 }
 
-// setBusy flips the connection's drain classification.
-func (s *Server) setBusy(st *connState, busy bool) {
+// beginRequest marks the connection busy so a drain lets its request
+// finish. It refuses once the server is draining: Close has then closed
+// the connection as idle, and a request still waiting in its read buffer
+// must not run.
+func (s *Server) beginRequest(st *connState) bool {
 	s.mu.Lock()
-	st.busy = busy
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	st.busy = true
+	return true
+}
+
+// endRequest marks the connection idle and reports whether to keep
+// serving it (false once the server is draining).
+func (s *Server) endRequest(st *connState) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st.busy = false
+	return !s.draining
 }
 
 // handleConn serves one application connection; requests on a connection
@@ -369,8 +357,9 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	fr := newConnFrameReader(conn, s.cfg.IdleTimeout, s.cfg.ReadTimeout)
 	for {
-		payload, err := s.readRequest(conn)
+		payload, err := fr.next()
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrMessageTooLarge):
@@ -387,7 +376,11 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 			}
 			return // disconnect, timeout, or malformed frame: drop the client
 		}
-		s.setBusy(st, true)
+		if !s.beginRequest(st) {
+			return
+		}
+		// The payload may alias the read buffer; the decoded request does
+		// not.
 		req, err := DecodeRequest(payload)
 		var reply *Reply
 		if err != nil {
@@ -400,19 +393,19 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		}
 		err = s.writeReply(conn, reply)
 		if errors.Is(err, ErrMessageTooLarge) {
-			// WriteFrame rejects an oversize payload before writing a single
+			// writeReply rejects an oversize reply before writing a single
 			// byte, so the stream is still frame-aligned — degrade to an
 			// in-band error instead of cutting a healthy connection. (A batch
 			// of large hits can legitimately overflow one reply frame.)
 			err = s.writeReply(conn, &Reply{Type: MsgReplyError, Error: ErrMessageTooLarge.Error(), Trace: reply.Trace})
 		}
-		s.setBusy(st, false)
+		serving := s.endRequest(st)
 		if err != nil {
 			s.countDroppedConn()
 			s.logfLimited("write-reply", "service: write reply: %v", err)
 			return
 		}
-		if s.isDraining() {
+		if !serving {
 			return
 		}
 	}

@@ -191,6 +191,40 @@ func SquaredEuclidean(a, b Vector) float64 {
 	return sum
 }
 
+// boundChunk is how many coordinates SquaredEuclideanBounded adds
+// between checks of its bound.
+const boundChunk = 16
+
+// SquaredEuclideanBounded is SquaredEuclidean for a search that only
+// cares about distances up to bound. It adds the terms in the same order
+// and checks the bound once per chunk, so it returns the bit-identical
+// sum whenever that sum is <= bound, and some value > bound otherwise:
+// the terms are non-negative, so a partial sum past the bound can only
+// grow.
+func SquaredEuclideanBounded(a, b Vector, bound float64) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var sum float64
+	for len(a) >= boundChunk {
+		x, y := a[:boundChunk], b[:boundChunk]
+		for i := range x {
+			d := x[i] - y[i]
+			sum += d * d
+		}
+		if sum > bound {
+			return sum
+		}
+		a, b = a[boundChunk:], b[boundChunk:]
+	}
+	b = b[:len(a)]
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
+	}
+	return sum
+}
+
 // ManhattanMetric is the L1 distance.
 type ManhattanMetric struct{}
 

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,64 @@ func TestStringKeysInTreeMapScenario(t *testing.T) {
 	}
 	if m.Distance(FromString("mute"), FromString("mutt")) == 0 {
 		t.Error("different strings at distance 0")
+	}
+}
+
+// TestSquaredEuclideanBoundedMatches: within the bound the early-abandon
+// sum is bit-identical to SquaredEuclidean, past it the result is past
+// the bound, at every chunk boundary case.
+func TestSquaredEuclideanBoundedMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, dim := range []int{0, 1, 6, 15, 16, 17, 768} {
+		for trial := 0; trial < 50; trial++ {
+			a, b := make(Vector, dim), make(Vector, dim)
+			for i := range a {
+				a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			exact := SquaredEuclidean(a, b)
+			bounds := []float64{math.Inf(1), exact, math.Nextafter(exact, math.Inf(1)),
+				math.Nextafter(exact, 0), exact / 2, exact / 64, 0}
+			for _, bound := range bounds {
+				got := SquaredEuclideanBounded(a, b, bound)
+				if exact <= bound {
+					if math.Float64bits(got) != math.Float64bits(exact) {
+						t.Fatalf("dim %d bound %v: got %v, want exactly %v", dim, bound, got, exact)
+					}
+				} else if !(got > bound) {
+					t.Fatalf("dim %d bound %v: got %v, want > bound (exact %v)", dim, bound, got, exact)
+				}
+			}
+		}
+	}
+	if got := SquaredEuclideanBounded(Vector{1}, Vector{1, 2}, 10); !math.IsInf(got, 1) {
+		t.Fatalf("dimension mismatch = %v, want +Inf", got)
+	}
+}
+
+func benchVectors768() (Vector, Vector) {
+	rng := rand.New(rand.NewSource(1))
+	a, b := make(Vector, 768), make(Vector, 768)
+	for i := range a {
+		a[i], b[i] = rng.Float64(), rng.Float64()
+	}
+	return a, b
+}
+
+var distSink float64
+
+// BenchmarkSquaredEuclidean768 and BenchmarkSquaredEuclideanBounded768
+// (an unbounded search, so it never abandons) time the per-chunk bound
+// check at the dimension of a Downsample key.
+func BenchmarkSquaredEuclidean768(b *testing.B) {
+	x, y := benchVectors768()
+	for i := 0; i < b.N; i++ {
+		distSink += SquaredEuclidean(x, y)
+	}
+}
+
+func BenchmarkSquaredEuclideanBounded768(b *testing.B) {
+	x, y := benchVectors768()
+	for i := 0; i < b.N; i++ {
+		distSink += SquaredEuclideanBounded(x, y, math.Inf(1))
 	}
 }
