@@ -711,7 +711,8 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	}
 	// Threshold-restricted k-nearest-neighbour query; k defaults to 1,
 	// the paper's choice (§3.4).
-	e, hitKey, dist, probes, ok, sawExpired := c.selectHit(ki, key, res.Threshold, now)
+	keepKey := opts.Refine != nil
+	e, hitKey, dist, probes, ok, sawExpired := c.selectHit(ki, key, res.Threshold, now, keepKey)
 	if sawExpired {
 		// The query ran into an expired entry still in the index; purge
 		// and requery so staleness cannot mask a live neighbour. After
@@ -719,7 +720,7 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		// retry is deterministic.
 		c.maybePurgeExpired(now)
 		var retryProbes int
-		e, hitKey, dist, retryProbes, ok, _ = c.selectHit(ki, key, res.Threshold, now)
+		e, hitKey, dist, retryProbes, ok, _ = c.selectHit(ki, key, res.Threshold, now, keepKey)
 		probes = addProbes(probes, retryProbes)
 	}
 	if traced {
@@ -788,9 +789,9 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	if opts.Refine != nil {
 		// Refinement runs with no lock held: it may be arbitrarily
 		// expensive application logic (warping an image, adjusting
-		// coordinates, ...). The hit key is cloned so the refiner cannot
-		// alias index memory.
-		res.Value = opts.Refine(res.Value, hitKey.Clone(), key)
+		// coordinates, ...). selectHit copied the hit key under the
+		// index lock, so the refiner owns it.
+		res.Value = opts.Refine(res.Value, hitKey, key)
 		if traced {
 			stages = append(stages, telemetry.SpanStage{
 				Name: telemetry.StageRefine, DurationNs: int64(c.sinceFast(mark)),
@@ -1163,8 +1164,10 @@ func (c *Cache) recordPutError(fn string, start time.Time, trace telemetry.Trace
 // that at least one was encountered so the caller can purge and retry.
 // With LookupK > 1, within-threshold neighbours vote by value equality
 // and the largest group's closest member wins (ties break toward the
-// closer group).
-func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now time.Time) (_ *entry, _ vec.Vector, dist float64, probes int, ok, sawExpired bool) {
+// closer group). The hit key is returned only when keepKey is set, in
+// memory of its own: an index key is valid only until the index next
+// mutates (index.Neighbor), so it is copied before the read lock drops.
+func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now time.Time, keepKey bool) (_ *entry, _ vec.Vector, dist float64, probes int, ok, sawExpired bool) {
 	k := c.cfg.LookupK
 	if k <= 1 {
 		var n index.Neighbor
@@ -1176,6 +1179,7 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 			probes = -1
 			n, found = ki.idx.Nearest(key)
 		}
+		n.Key = keyCopy(n.Key, keepKey && found && n.Dist <= threshold)
 		ki.mu.RUnlock()
 		if !found {
 			return nil, nil, -1, probes, false, false
@@ -1201,6 +1205,9 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 	} else {
 		probes = -1
 		ns = ki.idx.KNearest(key, k)
+	}
+	for i := range ns {
+		ns[i].Key = keyCopy(ns[i].Key, keepKey && ns[i].Dist <= threshold)
 	}
 	ki.mu.RUnlock()
 	if len(ns) == 0 {
@@ -1260,6 +1267,15 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 		}
 	}
 	return groups[best].rep, groups[best].repKey, nearest, probes, true, sawExpired
+}
+
+// keyCopy returns a copy of an index key when keep is set, else nil, so
+// that no index memory outlives the lock it was read under.
+func keyCopy(k vec.Vector, keep bool) vec.Vector {
+	if !keep {
+		return nil
+	}
+	return k.Clone()
 }
 
 // evictLocked enforces the capacity bounds by evicting the victim

@@ -24,6 +24,14 @@ var ErrEmptyKey = errors.New("index: empty key vector")
 type ID uint64
 
 // Neighbor is one result of a nearest-neighbour query.
+//
+// Key is the index's own copy of the stored key, not a fresh one: a
+// search allocates nothing per result key. It is read-only, and it is
+// valid only until the index is next mutated, because Insert and Remove
+// may reuse its memory (the KD-tree moves a leaf's last key into the
+// slot of a removed one). A caller that keeps Key past the lock that
+// holds mutation off (the cache core's per-key-type read lock) copies it
+// before releasing that lock.
 type Neighbor struct {
 	ID   ID
 	Key  vec.Vector

@@ -177,6 +177,28 @@ func TestExactIndicesAgreeWithLinear(t *testing.T) {
 			}
 		}
 	}
+
+	// Mixed dimensionalities: a query that no stored key matches in
+	// dimension is +Inf from every entry, and the min-ID entry wins,
+	// from Nearest and KNearest alike, as from the linear scan.
+	lin := NewLinear(vec.EuclideanMetric{})
+	kd := NewKDTree(vec.EuclideanMetric{})
+	for i := 0; i < 60; i++ {
+		v := randomVec(rng, 4-i%2)
+		lin.Insert(ID(100-i), v)
+		kd.Insert(ID(100-i), v)
+	}
+	for _, dim := range []int{3, 4, 5} {
+		query := randomVec(rng, dim)
+		nl, okL := lin.Nearest(query)
+		nk, okK := kd.Nearest(query)
+		if okL != okK || nl.ID != nk.ID || nl.Dist != nk.Dist || len(nk.Key) != len(nl.Key) {
+			t.Errorf("dim-%d query: kdtree (%d, %v, %v), linear (%d, %v, %v)", dim, nk.ID, nk.Dist, okK, nl.ID, nl.Dist, okL)
+		}
+		if k1 := kd.KNearest(query, 1); len(k1) != 1 || k1[0].ID != nl.ID || k1[0].Dist != nl.Dist {
+			t.Errorf("dim-%d query: kdtree KNearest(1) = %v, linear Nearest (%d, %v)", dim, k1, nl.ID, nl.Dist)
+		}
+	}
 }
 
 func TestLSHRecallOnClusters(t *testing.T) {

@@ -1,38 +1,101 @@
 package index
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
 
-// KDTree is a k-dimensional tree supporting exact nearest-neighbour
-// search in O(log N) average time for low-to-moderate dimensions
-// (paper §3.6: "KD-trees ... support spatial indexing and efficient
-// nearest neighbor and range searches"). Pruning uses per-axis bounds
-// and is exact for the Euclidean, Manhattan and Chebyshev metrics; for
-// other metrics the tree degrades to a full traversal and stays correct.
+// leafMax is the number of points a leaf holds before it splits.
+const leafMax = 16
+
+// blockFloats bounds a key block (see kdLeaf): 512 floats is 4 KB.
+const blockFloats = 512
+
+// sideLeaf is the leaf index that KDTree.where records for a key on the
+// side list.
+const sideLeaf int32 = -1
+
+// KDTree is an exact, bucketed k-dimensional tree (paper §3.6: "KD-trees
+// ... support spatial indexing and efficient nearest neighbor and range
+// searches").
 //
-// Deletions are tombstoned and the tree is rebuilt when more than half
-// the nodes are dead, giving amortized O(log N) removal.
+// Each internal node splits its points on the axis along which they
+// spread widest, at the median: points with key[axis] < split go left,
+// the rest go right. Keys often mix units (a pose's metres and radians),
+// so splitting on the widest axis, rather than cycling through the axes,
+// keeps every level separating something. Leaves hold up to leafMax
+// points in flat storage: their IDs in one slice and their keys back to
+// back in fixed-size blocks of pointer-free memory, so a search scans
+// contiguous memory and the garbage collector has no pointers to trace
+// in it. A block holds as many keys, up to leafMax, as fit in 4 KB: all
+// 16 of a 6-d leaf, or one 768-d key. A leaf's storage therefore exceeds
+// its keys by less than one block, and a high-dimensional key is stored
+// as compactly as a clone of it. Blocks a leaf empties are handed to the
+// next leaf that needs one, so churn makes no garbage.
+//
+// A search prunes a subtree when the query's distance to its splitting
+// plane exceeds the best candidate so far, which is exact for the
+// Euclidean, Manhattan and Chebyshev metrics; under any other metric it
+// scores every point and stays correct.
+//
+// Remove deletes the point from its leaf: the leaf's last point moves
+// into its slot. An insert into a full leaf splits it in two. Leaves that
+// drain are not merged one at a time; instead, once leaves average fewer
+// than leafMax/4 points, the whole tree is rebuilt balanced. A rebuild is
+// due at most once per n/2 mutations of an n-point tree, so maintenance
+// costs amortised O(log n) per mutation and the node and leaf counts stay
+// O(n).
+//
+// The tree's dimensionality is that of the first key it holds. A key of
+// any other dimensionality, which every metric puts at +Inf from a
+// tree-dimension query, goes on a side list that searches scan linearly;
+// a rebuild adopts the most common dimensionality.
 type KDTree struct {
 	probeCounter
 	metric   vec.Metric
 	prunable bool
 	euclid   bool // metric is Euclidean: Nearest searches in squared space
-	root     *kdNode
-	size     int // live entries
-	dead     int // tombstoned entries
-	byID     map[ID]*kdNode
+
+	dim    int   // dimensionality of tree points; 0 while the tree is empty
+	shift  uint  // a key block holds 1<<shift points
+	root   int32 // a child reference, see kdNode
+	nodes  []kdNode
+	leaves []kdLeaf
+	live   int // points in the tree, excluding the side list
+
+	sideIDs  []ID
+	sideKeys []vec.Vector
+
+	// where locates every ID: its leaf index in the high 32 bits (sideLeaf
+	// for the side list) and its slot in the low 32.
+	where map[ID]uint64
+
+	ops    int // mutations since the last rebuild
+	builtN int // points at the last rebuild
+
+	spare [][]float64 // emptied key blocks, at most leafMax, for reuse
+
+	perm []int32   // scratch for splits, used under the write lock only
+	flat []float64 // scratch for a splitting leaf's keys, likewise
+	span []float64 // scratch for per-axis bounds, likewise
 }
 
+// kdNode is an internal node. A child reference c >= 0 indexes
+// KDTree.nodes; c < 0 refers to leaf ^c.
 type kdNode struct {
-	id          ID
-	key         vec.Vector
-	axis        int
-	left, right *kdNode
-	deleted     bool
+	split       float64
+	axis        int32
+	left, right int32
+}
+
+// kdLeaf holds its points' IDs and, in the same order, their keys: point
+// i is at offset (i mod 1<<shift)·dim of block i>>shift.
+type kdLeaf struct {
+	ids    []ID
+	blocks [][]float64
 }
 
 // NewKDTree returns an empty KD-tree using metric m.
@@ -44,226 +107,452 @@ func NewKDTree(m vec.Metric) *KDTree {
 	case vec.ManhattanMetric, vec.ChebyshevMetric:
 		prunable = true
 	}
-	return &KDTree{metric: m, prunable: prunable, euclid: euclid, byID: make(map[ID]*kdNode)}
+	return &KDTree{metric: m, prunable: prunable, euclid: euclid, where: make(map[ID]uint64)}
 }
 
-// Insert implements Index. Empty keys are rejected: the descent below
-// picks the next split axis as (axis+1) mod len(key), which would
-// divide by zero for a zero-dimension key.
+func packLoc(leaf int32, slot int) uint64 { return uint64(uint32(leaf))<<32 | uint64(uint32(slot)) }
+
+func unpackLoc(loc uint64) (leaf int32, slot int) { return int32(loc >> 32), int(uint32(loc)) }
+
+// key returns point i of a leaf, capped so that an append to it cannot
+// spill into the next point.
+func (t *KDTree) key(lf *kdLeaf, i int) vec.Vector {
+	off := (i & (1<<t.shift - 1)) * t.dim
+	return lf.blocks[i>>t.shift][off : off+t.dim : off+t.dim]
+}
+
+// setDim fixes the tree's dimensionality and the block size that goes
+// with it: the most points, up to leafMax, whose keys fit blockFloats.
+func (t *KDTree) setDim(dim int) {
+	t.dim, t.shift = dim, 0
+	for 2<<t.shift <= leafMax && (2<<t.shift)*dim <= blockFloats {
+		t.shift++
+	}
+	t.spare = nil
+}
+
+// push appends a point to a leaf, taking a key block when the last one
+// is full, and records its location.
+func (t *KDTree) push(lf *kdLeaf, li int32, id ID, key []float64) {
+	i := len(lf.ids)
+	if i>>t.shift == len(lf.blocks) {
+		var blk []float64
+		if n := len(t.spare); n > 0 {
+			blk, t.spare = t.spare[n-1], t.spare[:n-1]
+		} else {
+			blk = make([]float64, t.dim<<t.shift)
+		}
+		lf.blocks = append(lf.blocks, blk)
+	}
+	lf.ids = append(lf.ids, id)
+	copy(t.key(lf, i), key)
+	t.where[id] = packLoc(li, i)
+}
+
+// Insert implements Index. Inserting a live ID replaces its key.
 func (t *KDTree) Insert(id ID, key vec.Vector) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	if old, ok := t.byID[id]; ok && !old.deleted {
-		old.deleted = true
-		t.dead++
-		t.size--
+	t.Remove(id)
+	if t.dim == 0 {
+		t.setDim(len(key))
+		t.leaves = append(t.leaves[:0], kdLeaf{})
+		t.root = ^int32(0)
 	}
-	key = key.Clone()
-	n := &kdNode{id: id, key: key}
-	t.byID[id] = n
-	t.size++
-	if t.root == nil {
-		t.root = n
+	t.ops++
+	if len(key) != t.dim {
+		t.where[id] = packLoc(sideLeaf, len(t.sideIDs))
+		t.sideIDs = append(t.sideIDs, id)
+		t.sideKeys = append(t.sideKeys, key.Clone())
+		t.maybeRebuild()
 		return nil
 	}
-	cur := t.root
-	for {
-		n.axis = (cur.axis + 1) % len(key)
-		if axisLess(key, cur.key, cur.axis) {
-			if cur.left == nil {
-				cur.left = n
-				return nil
-			}
-			cur = cur.left
+	parent, right, r := int32(-1), false, t.root
+	for r >= 0 {
+		n := &t.nodes[r]
+		parent, right = r, key[n.axis] >= n.split
+		if right {
+			r = n.right
 		} else {
-			if cur.right == nil {
-				cur.right = n
-				return nil
-			}
-			cur = cur.right
+			r = n.left
 		}
 	}
+	li := ^r
+	if len(t.leaves[li].ids) >= leafMax {
+		if n, ok := t.splitLeaf(li, parent, right); ok {
+			if key[n.axis] >= n.split {
+				li = ^n.right
+			} else {
+				li = ^n.left
+			}
+		}
+	}
+	t.push(&t.leaves[li], li, id, key)
+	t.live++
+	t.maybeRebuild()
+	return nil
 }
 
-// axisLess compares along an axis, tolerating keys of differing
-// dimensionality (shorter keys read as 0 on missing axes).
-func axisLess(a, b vec.Vector, axis int) bool {
-	av, bv := 0.0, 0.0
-	if axis < len(a) {
-		av = a[axis]
+// splitLeaf turns the full leaf li into an internal node over two
+// leaves and returns that node. parent and right locate the reference to
+// li (parent < 0: the root). The points below the split stay in li; the
+// rest move to a new leaf. A leaf whose points all coincide cannot split
+// (ok is false); it grows past leafMax, and its excess is live points,
+// not slack.
+func (t *KDTree) splitLeaf(li, parent int32, right bool) (_ kdNode, ok bool) {
+	lf := &t.leaves[li]
+	n, dim := len(lf.ids), t.dim
+	flat := slices.Grow(t.flat[:0], n*dim)[:n*dim]
+	perm := t.perm[:0]
+	for i := 0; i < n; i++ {
+		copy(flat[i*dim:], t.key(lf, i))
+		perm = append(perm, int32(i))
 	}
-	if axis < len(b) {
-		bv = b[axis]
+	t.flat, t.perm = flat, perm
+	axis, split, m, ok := t.chooseSplit(flat, perm)
+	if !ok {
+		return kdNode{}, false
 	}
-	return av < bv
+	ri := int32(len(t.leaves))
+	rl := kdLeaf{ids: make([]ID, 0, leafMax)}
+	for _, p := range perm[m:] {
+		t.push(&rl, ri, lf.ids[p], flat[int(p)*dim:int(p+1)*dim])
+	}
+	// Drop the moved points from li, highest slot first: every slot above
+	// the one dropped then holds a point that stays, so each drop moves a
+	// staying point down.
+	slices.SortFunc(perm[m:], func(a, b int32) int { return cmp.Compare(b, a) })
+	for _, slot := range perm[m:] {
+		t.dropSlot(li, int(slot))
+	}
+	t.leaves = append(t.leaves, rl)
+	nd := kdNode{split: split, axis: int32(axis), left: ^li, right: ^ri}
+	ni := int32(len(t.nodes))
+	t.nodes = append(t.nodes, nd)
+	switch {
+	case parent < 0:
+		t.root = ni
+	case right:
+		t.nodes[parent].right = ni
+	default:
+		t.nodes[parent].left = ni
+	}
+	return nd, true
+}
+
+// chooseSplit picks the axis along which the points perm (indices into
+// keys) spread widest, sorts perm along it, and returns the split value
+// and the index m in perm where it falls: perm[:m] are the points below
+// split. m is the boundary between distinct values nearest the median,
+// so both sides are non-empty. ok is false when all points coincide.
+func (t *KDTree) chooseSplit(keys []float64, perm []int32) (axis int, split float64, m int, ok bool) {
+	dim := t.dim
+	lo := slices.Grow(t.span[:0], 2*dim)[:2*dim]
+	t.span = lo
+	hi := lo[dim:]
+	lo = lo[:dim]
+	first := keys[int(perm[0])*dim:]
+	copy(lo, first[:dim])
+	copy(hi, first[:dim])
+	for _, p := range perm[1:] {
+		k := keys[int(p)*dim : int(p)*dim+dim]
+		for a, v := range k {
+			if v < lo[a] {
+				lo[a] = v
+			} else if v > hi[a] {
+				hi[a] = v
+			}
+		}
+	}
+	widest := 0.0
+	for a := range lo {
+		if s := hi[a] - lo[a]; s > widest {
+			axis, widest = a, s
+		}
+	}
+	if widest == 0 {
+		return 0, 0, 0, false
+	}
+	at := func(i int) float64 { return keys[int(perm[i])*dim+axis] }
+	slices.SortFunc(perm, func(a, b int32) int {
+		return cmp.Compare(keys[int(a)*dim+axis], keys[int(b)*dim+axis])
+	})
+	// The nearest boundary to the median: an index m with
+	// at(m-1) < at(m), searched outward from len/2.
+	n, mid := len(perm), len(perm)/2
+	for off := 0; off < n; off++ {
+		if i := mid + off; i < n && at(i-1) < at(i) {
+			return axis, at(i), i, true
+		}
+		if i := mid - off; i >= 1 && i < n && at(i-1) < at(i) {
+			return axis, at(i), i, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// dropSlot removes the point in a leaf slot by moving the leaf's last
+// point into it, and keeps a key block it empties for reuse. The dropped
+// point's location is the caller's to update.
+func (t *KDTree) dropSlot(li int32, slot int) {
+	lf := &t.leaves[li]
+	last := len(lf.ids) - 1
+	if slot != last {
+		lf.ids[slot] = lf.ids[last]
+		copy(t.key(lf, slot), t.key(lf, last))
+		t.where[lf.ids[slot]] = packLoc(li, slot)
+	}
+	lf.ids = lf.ids[:last]
+	if last&(1<<t.shift-1) == 0 {
+		b := len(lf.blocks) - 1
+		if len(t.spare) < leafMax {
+			t.spare = append(t.spare, lf.blocks[b])
+		}
+		lf.blocks[b] = nil
+		lf.blocks = lf.blocks[:b]
+	}
 }
 
 // Remove implements Index.
 func (t *KDTree) Remove(id ID) {
-	n, ok := t.byID[id]
-	if !ok || n.deleted {
+	loc, ok := t.where[id]
+	if !ok {
 		return
 	}
-	n.deleted = true
-	delete(t.byID, id)
-	t.size--
-	t.dead++
-	if t.dead > t.size {
+	delete(t.where, id)
+	li, slot := unpackLoc(loc)
+	if li == sideLeaf {
+		last := len(t.sideIDs) - 1
+		if slot != last {
+			t.sideIDs[slot], t.sideKeys[slot] = t.sideIDs[last], t.sideKeys[last]
+			t.where[t.sideIDs[slot]] = packLoc(sideLeaf, slot)
+		}
+		t.sideKeys[last] = nil
+		t.sideIDs, t.sideKeys = t.sideIDs[:last], t.sideKeys[:last]
+	} else {
+		t.dropSlot(li, slot)
+		t.live--
+	}
+	t.ops++
+	t.maybeRebuild()
+}
+
+// maybeRebuild rebuilds the tree when its leaves average fewer than
+// leafMax/4 points or the side list outgrows it, but no sooner than
+// builtN/2 mutations after the last rebuild: that spacing is what makes
+// the O(n log n) rebuild amortised O(log n), and it holds the leaf count
+// under 1.5·builtN + 1 ≤ 3n + 1 in between.
+func (t *KDTree) maybeRebuild() {
+	if t.live == 0 || t.ops >= t.builtN/2 &&
+		(len(t.leaves) > t.live/(leafMax/4)+1 || len(t.sideIDs) > 2*t.live+leafMax) {
 		t.rebuild()
 	}
 }
 
+// rebuild builds a balanced tree over every live point, adopting the most
+// common key dimensionality, and compacts all storage into fresh memory.
 func (t *KDTree) rebuild() {
-	nodes := make([]*kdNode, 0, t.size)
-	var collect func(n *kdNode)
-	collect = func(n *kdNode) {
-		if n == nil {
-			return
+	// The most common dimensionality wins; a tie keeps the tree's own,
+	// else goes to the smallest.
+	dim, most := t.dim, t.live
+	if len(t.sideKeys) > 0 {
+		count := make(map[int]int)
+		for _, k := range t.sideKeys {
+			count[len(k)]++
 		}
-		collect(n.left)
-		if !n.deleted {
-			nodes = append(nodes, n)
-		}
-		collect(n.right)
-	}
-	collect(t.root)
-	t.root = buildBalanced(nodes, 0)
-	t.dead = 0
-}
-
-func buildBalanced(nodes []*kdNode, axis int) *kdNode {
-	if len(nodes) == 0 {
-		return nil
-	}
-	// Median-of-slice by axis using an in-place selection sort around the
-	// midpoint (quickselect would be faster but rebuilds are rare).
-	mid := len(nodes) / 2
-	quickSelect(nodes, mid, axis)
-	n := nodes[mid]
-	dim := len(n.key)
-	next := 0
-	if dim > 0 {
-		next = (axis + 1) % dim
-	}
-	n.axis = axis
-	n.left = buildBalanced(nodes[:mid], next)
-	n.right = buildBalanced(nodes[mid+1:], next)
-	return n
-}
-
-func quickSelect(nodes []*kdNode, k, axis int) {
-	lo, hi := 0, len(nodes)-1
-	for lo < hi {
-		p := partition(nodes, lo, hi, axis)
-		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p + 1
-		default:
-			hi = p - 1
+		for d, c := range count {
+			if c > most || c == most && d < dim && dim != t.dim {
+				dim, most = d, c
+			}
 		}
 	}
-}
-
-func partition(nodes []*kdNode, lo, hi, axis int) int {
-	pivot := nodes[hi].key
-	i := lo
-	for j := lo; j < hi; j++ {
-		if axisLess(nodes[j].key, pivot, axis) {
-			nodes[i], nodes[j] = nodes[j], nodes[i]
-			i++
+	n := most
+	ids, keys := make([]ID, 0, n), make([]float64, 0, n*dim)
+	var sideIDs []ID
+	var sideKeys []vec.Vector
+	add := func(id ID, k vec.Vector) {
+		if len(k) == dim {
+			ids, keys = append(ids, id), append(keys, k...)
+		} else {
+			sideIDs, sideKeys = append(sideIDs, id), append(sideKeys, k.Clone())
 		}
 	}
-	nodes[i], nodes[hi] = nodes[hi], nodes[i]
-	return i
+	for li := range t.leaves {
+		lf := &t.leaves[li]
+		for i, id := range lf.ids {
+			add(id, t.key(lf, i))
+		}
+	}
+	for i, k := range t.sideKeys {
+		add(t.sideIDs[i], k)
+	}
+
+	t.where = make(map[ID]uint64, n+len(sideIDs))
+	t.sideIDs, t.sideKeys = sideIDs, sideKeys
+	for i, id := range sideIDs {
+		t.where[id] = packLoc(sideLeaf, i)
+	}
+	t.nodes = make([]kdNode, 0, n/(leafMax/2))
+	t.leaves = make([]kdLeaf, 0, n/(leafMax/2)+1)
+	t.live, t.ops, t.builtN = n, 0, n+len(sideIDs)
+	if n == 0 {
+		t.dim, t.root = 0, 0
+		return
+	}
+	t.setDim(dim)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	t.root = t.build(ids, keys, perm)
 }
 
-// Nearest implements Index. It is a dedicated allocation-free search:
-// Nearest runs on every cache lookup AND every put (the tuner's
-// pre-insert neighbour probe), and going through KNearest(1) would
-// allocate a candidate heap and result slice per call — enough garbage
-// at high concurrency that GC mark assists, a global bottleneck,
-// dominate the runtime.
+// build builds a subtree over the points perm of ids and keys (dim floats
+// per point) and returns its child reference.
+func (t *KDTree) build(ids []ID, keys []float64, perm []int32) int32 {
+	if len(perm) > leafMax {
+		if axis, split, m, ok := t.chooseSplit(keys, perm); ok {
+			ni := int32(len(t.nodes))
+			t.nodes = append(t.nodes, kdNode{split: split, axis: int32(axis)})
+			left := t.build(ids, keys, perm[:m])
+			right := t.build(ids, keys, perm[m:])
+			t.nodes[ni].left, t.nodes[ni].right = left, right
+			return ni
+		}
+	}
+	li := int32(len(t.leaves))
+	lf := kdLeaf{ids: make([]ID, 0, max(leafMax, len(perm)))}
+	for _, p := range perm {
+		t.push(&lf, li, ids[p], keys[int(p)*t.dim:int(p+1)*t.dim])
+	}
+	t.leaves = append(t.leaves, lf)
+	return ^li
+}
+
+// Nearest implements Index. It allocates nothing: Nearest runs on every
+// cache lookup AND every put (the tuner's pre-insert neighbour probe).
 func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 	n, _, ok := t.NearestProbed(key)
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher: the probe count is the
-// number of tree nodes visited (pruned subtrees excluded).
+// NearestProbed implements ProbedSearcher: the probe count is the tree
+// nodes visited (internal and leaf) plus the points scored.
 func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	if t.size == 0 {
+	if t.Len() == 0 {
 		return Neighbor{}, 0, false
 	}
-	best := Neighbor{Dist: math.Inf(1)}
-	visited := 0
+	// Every stored point beats the initial best, at +Inf on the min-ID
+	// tie-break, so a query no stored key matches in dimensionality
+	// still gets the min-ID entry, as from a linear scan.
+	b := nnBest{Neighbor: Neighbor{ID: math.MaxUint64, Dist: math.Inf(1)}, bound: math.Inf(1)}
+	probes := 0
+	switch {
+	case t.live == 0:
+	case len(key) != t.dim || !t.prunable:
+		for li := range t.leaves {
+			lf := &t.leaves[li]
+			probes += 1 + len(lf.ids)
+			for i, id := range lf.ids {
+				b.offer(t, id, t.key(lf, i), t.score(key, t.key(lf, i)))
+			}
+		}
+	default:
+		t.nearest(t.root, key, &b, &probes)
+	}
+	for i, k := range t.sideKeys {
+		b.offer(t, t.sideIDs[i], k, t.score(key, k))
+	}
+	probes += len(t.sideKeys)
+	t.countQuery(probes)
+	return b.Neighbor, probes, true
+}
+
+// nnBest is Nearest's running best. Under the Euclidean metric points are
+// scored in squared distance, which saves a square root per point and
+// lets a sum stop once it passes the bound; Dist is still the square root
+// of the winner's exact sum, as Distance computes it, and ties are ties
+// of that rounded root, so the winner is a linear scan's.
+type nnBest struct {
+	Neighbor
+	// bound is the largest score, in the space points are scored in, that
+	// can still win or tie: Dist, or under the Euclidean metric a squared
+	// distance a hair above Dist² (tieBound).
+	bound float64
+}
+
+// offer considers a point of score s: its squared distance under the
+// Euclidean metric, its distance otherwise.
+func (b *nnBest) offer(t *KDTree, id ID, k vec.Vector, s float64) {
+	if s > b.bound {
+		return
+	}
+	d := s
 	if t.euclid {
-		// For the default Euclidean metric, search in squared-distance
-		// space: ordering is preserved (sqrt is monotone), so the same
-		// node wins, but the square root is taken once at the end
-		// instead of at every visited node, and the concrete distance
-		// routine is called directly instead of through the Metric
-		// interface.
-		t.nearestSq(t.root, key, &best, &visited)
-		best.Dist = math.Sqrt(best.Dist)
-	} else {
-		t.nearest1(t.root, key, &best, &visited)
+		d = math.Sqrt(s)
 	}
-	t.countQuery(visited)
-	return best, visited, true
-}
-
-// nearestSq is nearest1 specialized to squared Euclidean distance;
-// best.Dist holds the squared distance during the descent.
-func (t *KDTree) nearestSq(n *kdNode, key vec.Vector, best *Neighbor, visited *int) {
-	if n == nil {
-		return
-	}
-	*visited++
-	if !n.deleted {
-		// A distance past the best so far can lose no matter its exact
-		// value, so its sum may stop early; one within it is exact.
-		d := vec.SquaredEuclideanBounded(key, n.key, best.Dist)
-		if d < best.Dist || (d == best.Dist && n.id < best.ID) {
-			*best = Neighbor{ID: n.id, Key: n.key, Dist: d}
-		}
-	}
-	first, second := n.left, n.right
-	if !axisLess(key, n.key, n.axis) {
-		first, second = n.right, n.left
-	}
-	t.nearestSq(first, key, best, visited)
-	if second != nil {
-		ax := axisAbsDiff(key, n.key, n.axis)
-		if ax*ax <= best.Dist {
-			t.nearestSq(second, key, best, visited)
+	if d < b.Dist || d == b.Dist && id < b.ID {
+		b.Neighbor = Neighbor{ID: id, Key: k, Dist: d}
+		b.bound = d
+		if t.euclid {
+			b.bound = tieBound(d)
 		}
 	}
 }
 
-// nearest1 tracks the single best candidate in place, mirroring
-// search()'s traversal order, pruning, and min-ID tie-break.
-func (t *KDTree) nearest1(n *kdNode, key vec.Vector, best *Neighbor, visited *int) {
-	if n == nil {
-		return
+// tieBound bounds the squared distances whose square root rounds to d:
+// one is at most d²(1+2⁻⁵²) up to rounding, and the 2⁻⁵⁰ margin covers
+// the rounding of the product itself.
+func tieBound(d float64) float64 { return d * d * (1 + 0x1p-50) }
+
+// score is the distance Nearest scores points by: squared for the
+// Euclidean metric, the metric's own otherwise.
+func (t *KDTree) score(a, b vec.Vector) float64 {
+	if t.euclid {
+		return vec.SquaredEuclidean(a, b)
 	}
-	*visited++
-	if !n.deleted {
-		d := t.metric.Distance(key, n.key)
-		if d < best.Dist || (d == best.Dist && n.id < best.ID) {
-			*best = Neighbor{ID: n.id, Key: n.key, Dist: d}
+	return t.metric.Distance(a, b)
+}
+
+// nearest descends from child reference r, near side first. The far side
+// is skipped when the query's gap to the splitting plane, scored like a
+// point (squared under the Euclidean metric), is past the bound: every
+// point there has at least that gap on the split axis.
+func (t *KDTree) nearest(r int32, key vec.Vector, b *nnBest, probes *int) {
+	for r >= 0 {
+		n := &t.nodes[r]
+		*probes++
+		gap := key[n.axis] - n.split
+		near, far := n.left, n.right
+		if gap >= 0 {
+			near, far = far, near
 		}
+		t.nearest(near, key, b, probes)
+		if t.euclid {
+			gap *= gap
+		} else {
+			gap = math.Abs(gap)
+		}
+		if gap > b.bound {
+			return
+		}
+		r = far
 	}
-	first, second := n.left, n.right
-	if !axisLess(key, n.key, n.axis) {
-		first, second = n.right, n.left
-	}
-	t.nearest1(first, key, best, visited)
-	if second != nil {
-		if !t.prunable || axisAbsDiff(key, n.key, n.axis) <= best.Dist {
-			t.nearest1(second, key, best, visited)
+	lf := &t.leaves[^r]
+	*probes += 1 + len(lf.ids)
+	ids, dim := lf.ids, t.dim
+	for _, blk := range lf.blocks {
+		for off := 0; off < len(blk) && len(ids) > 0; off += dim {
+			k := vec.Vector(blk[off : off+dim : off+dim])
+			if t.euclid {
+				// A sum past the bound loses no matter its exact value,
+				// so it may stop early; one within it is exact.
+				b.offer(t, ids[0], k, vec.SquaredEuclideanBounded(key, k, b.bound))
+			} else {
+				b.offer(t, ids[0], k, t.metric.Distance(key, k))
+			}
+			ids = ids[1:]
 		}
 	}
 }
@@ -276,87 +565,110 @@ func (t *KDTree) KNearest(key vec.Vector, k int) []Neighbor {
 
 // KNearestProbed implements ProbedSearcher.
 func (t *KDTree) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
-	if k <= 0 || t.size == 0 {
+	if k <= 0 || t.Len() == 0 {
 		return nil, 0
 	}
-	h := &maxDistHeap{}
-	visited := 0
-	t.search(t.root, key, k, h, &visited)
-	t.countQuery(visited)
-	out := make([]Neighbor, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Neighbor)
-	}
-	return out, visited
+	s := knnSet{k: k, h: make([]Neighbor, 0, min(k, t.Len()))}
+	probes := t.visit(key, func(gap float64) bool {
+		return len(s.h) == k && gap > s.h[0].Dist
+	}, func(id ID, kv vec.Vector, d float64) { s.offer(Neighbor{ID: id, Key: kv, Dist: d}) })
+	t.countQuery(probes)
+	sortNeighbors(s.h)
+	return s.h, probes
 }
 
-func (t *KDTree) search(n *kdNode, key vec.Vector, k int, h *maxDistHeap, visited *int) {
-	if n == nil {
+// visit offers every point a range or k-nearest search cannot rule out
+// to emit, with its distance under the tree's metric, and returns the
+// probe count. prune reports whether a subtree whose splitting plane
+// lies gap from the query can be skipped; it is consulted after the
+// near side has been visited.
+func (t *KDTree) visit(key vec.Vector, prune func(gap float64) bool, emit func(ID, vec.Vector, float64)) int {
+	probes := 0
+	var walk func(r int32)
+	walk = func(r int32) {
+		for r >= 0 {
+			n := &t.nodes[r]
+			probes++
+			gap := key[n.axis] - n.split
+			near, far := n.left, n.right
+			if gap >= 0 {
+				near, far = far, near
+			}
+			walk(near)
+			if prune(math.Abs(gap)) {
+				return
+			}
+			r = far
+		}
+		lf := &t.leaves[^r]
+		probes += 1 + len(lf.ids)
+		for i, id := range lf.ids {
+			k := t.key(lf, i)
+			emit(id, k, t.metric.Distance(key, k))
+		}
+	}
+	switch {
+	case t.live == 0:
+	case len(key) != t.dim || !t.prunable:
+		for li := range t.leaves {
+			walk(^int32(li))
+		}
+	default:
+		walk(t.root)
+	}
+	for i, k := range t.sideKeys {
+		emit(t.sideIDs[i], k, t.metric.Distance(key, k))
+	}
+	return probes + len(t.sideKeys)
+}
+
+// knnSet keeps the k best neighbours seen as a max-heap on (Dist, ID),
+// so the root is the candidate to replace.
+type knnSet struct {
+	k int
+	h []Neighbor
+}
+
+func (s *knnSet) offer(n Neighbor) {
+	h := s.h
+	if len(h) < s.k {
+		h = append(h, n)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !less(h[p], h[i]) {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+		s.h = h
 		return
 	}
-	*visited++
-	if !n.deleted {
-		d := t.metric.Distance(key, n.key)
-		if h.Len() < k {
-			heap.Push(h, Neighbor{ID: n.id, Key: n.key, Dist: d})
-		} else if worst := (*h)[0]; d < worst.Dist || (d == worst.Dist && n.id < worst.ID) {
-			(*h)[0] = Neighbor{ID: n.id, Key: n.key, Dist: d}
-			heap.Fix(h, 0)
+	if !less(n, h[0]) {
+		return
+	}
+	h[0] = n
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-	}
-	goLeft := axisLess(key, n.key, n.axis)
-	first, second := n.left, n.right
-	if !goLeft {
-		first, second = n.right, n.left
-	}
-	t.search(first, key, k, h, visited)
-	// Prune the far side when the axis distance already exceeds the
-	// current worst candidate (valid for Lp metrics).
-	if second != nil {
-		axDist := axisAbsDiff(key, n.key, n.axis)
-		if !t.prunable || h.Len() < k || axDist <= (*h)[0].Dist {
-			t.search(second, key, k, h, visited)
+		if c+1 < len(h) && less(h[c], h[c+1]) {
+			c++
 		}
+		if !less(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-}
-
-func axisAbsDiff(a, b vec.Vector, axis int) float64 {
-	av, bv := 0.0, 0.0
-	if axis < len(a) {
-		av = a[axis]
-	}
-	if axis < len(b) {
-		bv = b[axis]
-	}
-	return math.Abs(av - bv)
 }
 
 // Len implements Index.
-func (t *KDTree) Len() int { return t.size }
+func (t *KDTree) Len() int { return t.live + len(t.sideIDs) }
 
 // Metric implements Index.
 func (t *KDTree) Metric() vec.Metric { return t.metric }
 
 // Kind implements Index.
 func (t *KDTree) Kind() Kind { return KindKDTree }
-
-// maxDistHeap is a max-heap of neighbours by distance, so the root is the
-// worst candidate and can be replaced cheaply.
-type maxDistHeap []Neighbor
-
-func (h maxDistHeap) Len() int { return len(h) }
-func (h maxDistHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist > h[j].Dist
-	}
-	return h[i].ID > h[j].ID
-}
-func (h maxDistHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxDistHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *maxDistHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}

@@ -7,9 +7,9 @@ import (
 )
 
 // ProbedSearcher is the per-query view of the probe counters: every
-// index kind already computes the number of entries (or tree nodes) it
-// examined to answer a query — it feeds countQuery — so returning that
-// count to the caller is free. Span tracing uses it to attribute probe
+// index kind already computes the number of entries (or, for the
+// KD-tree, nodes and points) it examined to answer a query — it feeds
+// countQuery — so returning that count to the caller is free. Span tracing uses it to attribute probe
 // work to individual lookups instead of only to the aggregate counters.
 // All kinds implement it.
 type ProbedSearcher interface {
@@ -20,13 +20,15 @@ type ProbedSearcher interface {
 }
 
 // ProbeStats reports how much work an index has done answering queries:
-// Queries counts Nearest/KNearest/Radius calls, Probes the entries (or
-// tree nodes) examined to answer them. Probes/Queries is the average
-// scan size — the number Table 2 of the paper compares across index
-// kinds (a linear index probes Len() per query, a KD-tree O(log N), an
-// LSH its candidate bucket set). The counters are atomics: indices are
-// queried under a read lock by many goroutines at once, so plain ints
-// would race.
+// Queries counts Nearest/KNearest/Radius calls, Probes the entries
+// examined to answer them. Probes/Queries is the average scan size — the
+// number Table 2 of the paper compares across index kinds (a linear
+// index probes Len() per query, an LSH its candidate bucket set). A
+// KD-tree probe is a tree node visited, internal or leaf, or a point
+// scored in a leaf, so a search that reaches one leaf of 16 points
+// through 8 internal nodes counts 25. The counters are atomics: indices
+// are queried under a read lock by many goroutines at once, so plain
+// ints would race.
 type ProbeStats struct {
 	Queries int64 `json:"queries"`
 	Probes  int64 `json:"probes"`

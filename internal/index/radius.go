@@ -43,38 +43,17 @@ func (l *Linear) Radius(key vec.Vector, r float64) []Neighbor {
 	return out
 }
 
-// Radius implements RadiusSearcher for the KD-tree with subtree pruning
-// (exact for Lp metrics; full traversal otherwise).
+// Radius implements RadiusSearcher for the KD-tree: a subtree is skipped
+// when its splitting plane lies farther than r (exact for Lp metrics;
+// every point is scored otherwise).
 func (t *KDTree) Radius(key vec.Vector, r float64) []Neighbor {
 	var out []Neighbor
-	visited := 0
-	var walk func(n *kdNode)
-	walk = func(n *kdNode) {
-		if n == nil {
-			return
+	probes := t.visit(key, func(gap float64) bool { return gap > r }, func(id ID, k vec.Vector, d float64) {
+		if d <= r {
+			out = append(out, Neighbor{ID: id, Key: k, Dist: d})
 		}
-		visited++
-		if !n.deleted {
-			if d := t.metric.Distance(key, n.key); d <= r {
-				out = append(out, Neighbor{ID: n.id, Key: n.key, Dist: d})
-			}
-		}
-		ax := axisAbsDiff(key, n.key, n.axis)
-		goLeft := axisLess(key, n.key, n.axis)
-		if goLeft {
-			walk(n.left)
-			if !t.prunable || ax <= r {
-				walk(n.right)
-			}
-		} else {
-			walk(n.right)
-			if !t.prunable || ax <= r {
-				walk(n.left)
-			}
-		}
-	}
-	walk(t.root)
-	t.countQuery(visited)
+	})
+	t.countQuery(probes)
 	sortNeighbors(out)
 	return out
 }

@@ -27,8 +27,9 @@
 // hits across the cut are approximated; the validation experiment runs
 // at rate 1 where the simulation is exact.)
 //
-// The hot-path cost is one hash plus, for sampled events, a clone and
-// a channel-free ring push; all simulation runs on the consumer side.
+// The hot-path cost is one hash plus, for sampled events, a clone, a
+// ring push and, only when the consumer is parked, a non-blocking send
+// that wakes it; all simulation runs on the consumer side.
 package whatif
 
 import (
@@ -159,6 +160,12 @@ type Profiler struct {
 	snap   *Report
 	snapAt time.Time
 
+	// wake carries a producer's signal to the parked consumer. A push
+	// fills it only while parked is set, so a busy consumer costs
+	// producers one atomic load and an idle one wakes for nothing.
+	wake   chan struct{}
+	parked atomic.Bool
+
 	startMu sync.Mutex
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -173,6 +180,7 @@ func New(cfg Config) *Profiler {
 		cfg:    cfg,
 		scale:  1 / cfg.Rate,
 		ring:   newRing(cfg.RingBits),
+		wake:   make(chan struct{}, 1),
 		sweeps: make(map[ktKey]*sweepSeries),
 		preds:  make(map[ktKey]*predictSeries),
 	}
@@ -265,6 +273,7 @@ func (p *Profiler) TapLookup(fn, keyType string, key vec.Vector, dist, threshold
 	}
 	if p.ring.push(ev) {
 		p.sampledLookups.Add(1)
+		p.signal()
 	} else {
 		p.drops.Add(1)
 	}
@@ -299,6 +308,7 @@ func (p *Profiler) TapPut(fn string, keyTypes []string, keys []vec.Vector, id ui
 	}
 	if p.ring.push(ev) {
 		p.sampledPuts.Add(1)
+		p.signal()
 	} else {
 		p.drops.Add(1)
 	}
@@ -318,24 +328,58 @@ func (p *Profiler) Start() {
 	go p.loop(p.done)
 }
 
+// signal wakes the consumer if it is parked. It never blocks: the
+// channel holds one pending wake, and a second is redundant.
+func (p *Profiler) signal() {
+	if p.parked.Load() {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// drainPause is how long the consumer waits after a drain that found
+// events before it drains again, so that under steady traffic it wakes
+// once per batch rather than once per event.
+const drainPause = 5 * time.Millisecond
+
+// loop drains the ring in batches while events arrive and parks once a
+// pause brings none. A parked consumer wakes only when a push signals
+// it. Parking announces itself before the last look at the ring, and a
+// push lands in the ring before it checks for a parked consumer; with
+// sequentially consistent atomics, either that look sees the event or
+// the push sees the consumer parked and signals, so no event waits for
+// a later push.
 func (p *Profiler) loop(done chan struct{}) {
 	defer p.wg.Done()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
+	pause := time.NewTimer(drainPause)
+	if !pause.Stop() {
+		<-pause.C
+	}
+	defer pause.Stop()
 	for {
+		if p.Drain() > 0 {
+			// The timer is stopped or has fired and been received, so
+			// Reset starts a full pause.
+			pause.Reset(drainPause)
+			select {
+			case <-done:
+				return
+			case <-pause.C:
+			}
+			continue
+		}
+		p.parked.Store(true)
 		if p.Drain() == 0 {
 			select {
 			case <-done:
+				p.parked.Store(false)
 				return
-			case <-tick.C:
-			}
-		} else {
-			select {
-			case <-done:
-				return
-			default:
+			case <-p.wake:
 			}
 		}
+		p.parked.Store(false)
 	}
 }
 
