@@ -633,7 +633,7 @@ func BenchmarkLookupParallel(b *testing.B) {
 				}
 				if telemetryOn {
 					// Full observability: metric series, latency
-					// histograms, and the event tracer, as potluckd
+					// histograms, and the span recorder, as potluckd
 					// runs with -admin-addr. DESIGN.md records the
 					// measured overhead vs. the telemetry-off run.
 					cfg.Telemetry = telemetry.New()

@@ -31,7 +31,9 @@
 // after recovery.
 //
 // -admin-addr starts an HTTP observability endpoint serving /metrics
-// (Prometheus text), /stats and /trace (JSON), and /debug/pprof/.
+// (Prometheus text), /stats and /trace (JSON; /trace is the retained
+// span view, filterable by ?fn= ?layer= ?outcome= ?min= ?trace= ?n=),
+// and /debug/pprof/.
 //
 // -whatif attaches the online counterfactual profiler (internal/whatif):
 // lookups are sampled spatially at -whatif-rate and drive ghost caches
@@ -45,9 +47,7 @@
 // registration, admission, and removal is appended to a crash-safe
 // segment log, snapshots are taken on -snapshot-interval, and at boot
 // the cache state — entries, per-function counters, and tuner
-// thresholds — is recovered before the socket opens. It subsumes the
-// older -snapshot single-file mechanism, which remains for experiment
-// compatibility.
+// thresholds — is recovered before the socket opens.
 package main
 
 import (
@@ -86,7 +86,6 @@ func main() {
 		tightenK   = flag.Float64("tighten-k", 4, "threshold tightening divisor (k)")
 		gamma      = flag.Float64("gamma", 0.8, "threshold loosening EWMA weight (γ)")
 		reputation = flag.Bool("reputation", false, "enable the cache-pollution reputation defence")
-		snapshot   = flag.String("snapshot", "", "snapshot file: loaded at boot if present, written at shutdown")
 
 		dataDir       = flag.String("data-dir", "", "durable store directory: segment log + snapshots, recovered at boot (empty = in-memory only)")
 		snapInterval  = flag.Duration("snapshot-interval", time.Minute, "durable store snapshot+compaction cadence")
@@ -223,18 +222,6 @@ func main() {
 			st.Entries, st.Functions, rstats.Duration.Round(time.Millisecond),
 			st.Expired, st.Skipped, rstats.TornTail, rstats.SnapshotUsed)
 	}
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			st, err := cache.ReadSnapshot(f)
-			f.Close()
-			if err != nil {
-				log.Printf("potluckd: snapshot load: %v", err)
-			} else {
-				log.Printf("potluckd: restored %d entries across %d functions (%d skipped)",
-					st.Entries, st.Functions, st.Skipped)
-			}
-		}
-	}
 	self := *nodeID
 	if self == "" {
 		self = *addr
@@ -369,20 +356,6 @@ func main() {
 		sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
 		admin.Shutdown(sctx)
 		scancel()
-	}
-	if *snapshot != "" {
-		f, err := os.Create(*snapshot)
-		if err != nil {
-			log.Printf("potluckd: snapshot save: %v", err)
-		} else {
-			st, err := cache.WriteSnapshot(f)
-			f.Close()
-			if err != nil {
-				log.Printf("potluckd: snapshot save: %v", err)
-			} else {
-				log.Printf("potluckd: saved %d entries (%d skipped)", st.Entries, st.Skipped)
-			}
-		}
 	}
 	log.Printf("potluckd: shut down")
 }

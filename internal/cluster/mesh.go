@@ -604,7 +604,7 @@ func (m *Mesh) recordSpan(start time.Time, trace uint64, function, keyType, peer
 // Instrument attaches the mesh to a telemetry hub: per-peer request/hit/
 // error counters and breaker state, mesh-wide remote hit/miss and
 // replication-loss counters, and breaker transitions as both a counter
-// and trace events. Call before Start.
+// and zero-duration breaker spans. Call before Start.
 func (m *Mesh) Instrument(tel *telemetry.Telemetry) {
 	m.tel.Store(tel)
 	r := tel.Registry
@@ -632,10 +632,7 @@ func (m *Mesh) Instrument(tel *telemetry.Telemetry) {
 		id := id
 		p.br.SetNotify(func(from, to string) {
 			transitions.With(id, to).Inc()
-			tel.RecordEvent(telemetry.Event{
-				Kind:   telemetry.EventBreaker,
-				Detail: id + " " + from + "->" + to,
-			})
+			tel.RecordSpan(telemetry.NoteSpan("mesh", telemetry.OutcomeBreaker, id+" "+from+"->"+to, time.Now(), 0))
 		})
 	}
 	r.Counter("potluck_mesh_remote_hits_total",

@@ -194,6 +194,8 @@ func TestBreakerDemotionReroutes(t *testing.T) {
 	m := newMesh(t, a, "A", 3,
 		PeerSpec{ID: "B", Network: "unix", Addr: deadSock},
 		peerOf(c, "C"))
+	tel := telemetry.New()
+	m.Instrument(tel)
 
 	key := vec.Vector{3, 4}
 	if _, err := c.cache.Put(fn, core.PutRequest{
@@ -221,6 +223,14 @@ func TestBreakerDemotionReroutes(t *testing.T) {
 	}
 	if bState.Breaker != service.BreakerOpen {
 		t.Fatalf("dead peer breaker = %s, want open", bState.Breaker)
+	}
+	// The trip is a breaker span that hit traffic cannot overwrite.
+	for i := 0; i < 2000; i++ {
+		tel.Spans.Record(telemetry.Span{Trace: telemetry.NewTraceID(), Layer: "core", Outcome: telemetry.OutcomeHit})
+	}
+	trips := tel.Spans.Snapshot(telemetry.SpanFilter{Outcome: telemetry.OutcomeBreaker})
+	if len(trips) != 1 || trips[0].Layer != "mesh" || trips[0].Stages[0].Detail != "B closed->open" {
+		t.Fatalf("breaker spans after 2000 hits = %+v, want one \"B closed->open\"", trips)
 	}
 
 	// With the breaker open the dead peer costs nothing: the next lookup

@@ -180,10 +180,9 @@ type Config struct {
 	// Telemetry, when non-nil, attaches the cache to a telemetry hub:
 	// per-(function, key type) metric series are exported to its
 	// registry, lookup latencies feed per-series histograms, and
-	// decision events (misses, dropouts, evictions, expirations,
-	// sampled hits) are recorded to its tracer. Nil runs the cache with
-	// its internal counters only; see telemetry.go for the overhead
-	// budget.
+	// lookups, puts, eviction passes and purge passes are recorded to
+	// its span recorder. Nil runs the cache with its internal counters
+	// only; see telemetry.go for the overhead budget.
 	Telemetry *telemetry.Telemetry
 	// Tap, when non-nil, observes the post-dropout decision stream for
 	// counterfactual profiling (internal/whatif). Nil — the default —
@@ -660,11 +659,11 @@ func (c *Cache) LookupAccept(fn, keyType string, key vec.Vector, accept func(val
 // nothing-expired read therefore never touches the admission lock;
 // routine reclamation is left to puts and the janitor.
 //
-// Span recording follows the tracer's discipline: hits produce a span
-// only when the lookup is traced — forced by a propagated trace ID or
-// sampled 1-in-64 off the clock read the lookup already paid for —
-// while misses, dropouts, and errors always produce one (they are the
-// decisions worth debugging and are rare by comparison). Stage clocks
+// Hits produce a span only when the lookup is traced — forced by a
+// propagated trace ID or sampled 1-in-64 off the clock read the lookup
+// already paid for — while misses, dropouts, and errors always produce
+// one (they are the decisions worth debugging and are rare by
+// comparison). Stage clocks
 // and the tuner snapshot are reserved for traced lookups, so the
 // always-recorded outcomes stay at one ring write with no extra clock
 // reads or tuner lock.
@@ -686,12 +685,6 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	if out {
 		ki.ctr.dropouts.Add(1)
 		res.Dropout = true
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventDropout,
-				Function: fn, KeyType: keyType, Value: res.Threshold,
-			})
-		}
 		if c.spans != nil {
 			res.Trace = c.recordLookupSpan(ki, fn, keyType, now, spanFields{
 				outcome: telemetry.OutcomeDropout, dist: -1, threshold: res.Threshold,
@@ -742,12 +735,6 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		if c.tap != nil {
 			c.tap.TapLookup(fn, keyType, key, dist, res.Threshold, false, now.UnixNano())
 		}
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventMiss,
-				Function: fn, KeyType: keyType, Value: dist, Aux: res.Threshold,
-			})
-		}
 		if c.spans != nil {
 			if traced {
 				stages = append(stages, telemetry.SpanStage{
@@ -769,13 +756,6 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	c.ctr.savedCompute.Add(int64(e.cost))
 	if c.tap != nil {
 		c.tap.TapLookup(fn, keyType, key, dist, res.Threshold, true, now.UnixNano())
-	}
-	if c.tel != nil && n&hitTraceSampleMask == 0 {
-		c.tel.RecordEvent(telemetry.Event{
-			At: now.UnixNano(), Kind: telemetry.EventHit,
-			Function: fn, KeyType: keyType, Detail: e.app,
-			Value: dist, Aux: res.Threshold,
-		})
 	}
 	res.Hit = true
 	res.Value = e.value
@@ -868,12 +848,6 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	if c.rep != nil && c.rep.Barred(req.App) {
 		c.ctr.rejectedPuts.Add(1)
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventBarred,
-				Function: fn, Detail: req.App,
-			})
-		}
 		err := fmt.Errorf("%w: %q", ErrAppBarred, req.App)
 		c.recordPutError(fn, now, req.Trace, err)
 		return 0, err
@@ -1086,17 +1060,10 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		c.tap.TapPut(fn, tb.kts, tb.keys, uint64(id), size, int64(cost), now.UnixNano())
 		tapBufPool.Put(tb)
 	}
-	if c.tel != nil {
-		c.tel.RecordEvent(telemetry.Event{
-			At: now.UnixNano(), Kind: telemetry.EventPut,
-			Function: fn, Detail: req.App,
-			Value: cost.Seconds(), Aux: float64(size),
-		})
-	}
 	if traced {
 		detail := ""
 		if evicted > 0 {
-			detail = fmt.Sprintf("evicted %d (%s)", evicted, cause)
+			detail = evictDetail(evicted, cause)
 		}
 		stages = append(stages, telemetry.SpanStage{
 			Name: telemetry.StageAdmit, DurationNs: int64(c.sinceFast(mark)), Detail: detail,
@@ -1283,7 +1250,9 @@ func keyCopy(k vec.Vector, keep bool) vec.Vector {
 // evictions so two racing puts cannot both evict for the same
 // overflow. Returns how many entries were evicted and which bound
 // forced it ("entries", "bytes", or ""), so the admitting put's span
-// can name the eviction cause.
+// can name the eviction cause. With telemetry attached, a pass that
+// evicted is timed into potluck_evict_seconds and recorded as one
+// OutcomeEvict span.
 func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
 	over := func() bool {
 		if c.cfg.MaxEntries > 0 && c.count.Load() > int64(c.cfg.MaxEntries) {
@@ -1304,7 +1273,7 @@ func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
 		return 0, ""
 	}
 	var start time.Time
-	if c.evictLat != nil {
+	if c.tel != nil {
 		start = time.Now()
 	}
 	rekeys := 0
@@ -1314,27 +1283,28 @@ func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
 		if v == nil {
 			break
 		}
-		e := c.removeEntryLocked(v.id)
-		if e == nil {
+		if c.removeEntryLocked(v.id) == nil {
 			break
 		}
 		evicted++
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventEvict,
-				Detail: e.app, Value: e.importance(), Aux: float64(e.size),
-			})
-		}
 		if !over() {
 			break
 		}
 	}
 	c.ctr.evictions.Add(int64(evicted))
 	c.ctr.rekeys.Add(int64(rekeys))
-	if c.evictLat != nil && evicted > 0 {
-		c.evictLat.Observe(time.Since(start))
+	if c.tel != nil && evicted > 0 {
+		d := time.Since(start)
+		c.evictLat.Observe(d)
+		c.spans.Record(telemetry.NoteSpan("core", telemetry.OutcomeEvict, evictDetail(evicted, cause), now, d))
 	}
 	return evicted, cause
+}
+
+// evictDetail is the text an eviction pass leaves in its span, and in
+// the admit stage of the put span that triggered it.
+func evictDetail(evicted int, cause string) string {
+	return fmt.Sprintf("evicted %d (%s)", evicted, cause)
 }
 
 // admitLocked enqueues a published entry's expiry and makes it an
@@ -1461,7 +1431,13 @@ func (c *Cache) maybePurgeExpired(now time.Time) {
 // (§3.6: the management thread "clears all (at the same time) expired
 // entries"). It is invoked lazily on every operation and explicitly by
 // the janitor. Caller holds admitMu. Returns the number of expirations.
+// With telemetry attached, a pass that expired entries is recorded as
+// one OutcomeExpire span.
 func (c *Cache) purgeExpiredLocked(now time.Time) int {
+	var start time.Time
+	if c.tel != nil {
+		start = time.Now()
+	}
 	purged := 0
 	for len(c.expiry) > 0 && !c.expiry[0].at.After(now) {
 		item := c.expiry.popMin()
@@ -1478,14 +1454,12 @@ func (c *Cache) purgeExpiredLocked(now time.Time) int {
 		c.unlinkEntry(e)
 		c.ctr.expirations.Add(1)
 		purged++
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventExpire,
-				Detail: e.app, Value: e.importance(), Aux: float64(e.size),
-			})
-		}
 	}
 	c.updateNextExpiryLocked()
+	if c.tel != nil && purged > 0 {
+		c.spans.Record(telemetry.NoteSpan("core", telemetry.OutcomeExpire,
+			fmt.Sprintf("expired %d", purged), now, time.Since(start)))
+	}
 	return purged
 }
 

@@ -52,7 +52,7 @@ type Store interface {
 
 // StoreKeyType is the serializable form of a KeyTypeSpec: extractors
 // cannot cross a process boundary, and metrics travel by name (only the
-// built-in named metrics survive a restart, like ReadSnapshot).
+// built-in named metrics survive a restart).
 type StoreKeyType struct {
 	Name   string
 	Metric string
@@ -350,6 +350,18 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 	c.admitLocked(e)
 	c.admitMu.Unlock()
 	return restoredOK
+}
+
+// serializableValue reports whether v's type can cross a restart: the
+// same set store.PersistableValue encodes (core cannot import store).
+func serializableValue(v any) bool {
+	switch v.(type) {
+	case nil, bool, int, int8, int16, int32, int64,
+		uint, uint8, uint16, uint32, uint64,
+		float32, float64, string, []byte, vec.Vector:
+		return true
+	}
+	return false
 }
 
 // timeFromNanos converts a recorded UnixNano, falling back to now for

@@ -6,21 +6,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Span recording for the core lookup/put pipeline. The recording
-// policy mirrors the event tracer's sampling discipline (telemetry.go):
-// hits and puts build a span only when traced — forced by a propagated
-// trace ID or sampled by spanSampleMask — while misses, dropouts, and
-// errors always record one. Detailed (traced) spans carry stage clocks
+// Span recording for the core lookup/put pipeline. Hits and puts build
+// a span only when traced — forced by a propagated trace ID or sampled
+// by spanSampleMask — while misses, dropouts, and errors always record
+// one. Detailed (traced) spans carry stage clocks
 // and a tuner snapshot; always-recorded spans carry only the decision
 // fields the lookup computed anyway, so they cost one ring write.
 
 // spanSampleMask samples locally initiated spans 1-in-64 against the
 // low bits of the lookup's start timestamp — a clock value the lookup
 // has already paid for, so the sampling decision costs one AND and one
-// compare, no extra atomics. 1-in-64 matches hitTraceSampleMask: at
-// that rate the stage clocks (two to four extra monotonic reads) and
-// the tuner.Stats() mutex are amortized into noise on a sub-microsecond
-// lookup.
+// compare, no extra atomics. At 1-in-64 the stage clocks (two to four
+// extra monotonic reads) and the tuner.Stats() mutex are amortized into
+// noise on a sub-microsecond lookup.
 const spanSampleMask = 63
 
 // nowFast reads the stage clock: the monotonic wall clock when the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
@@ -274,5 +275,64 @@ func TestRefineStageTraced(t *testing.T) {
 	}
 	if refine.DurationNs < int64(time.Millisecond)/2 {
 		t.Fatalf("refine stage too fast to be real: %+v", refine)
+	}
+}
+
+// An eviction pass records one evict span naming how many entries it
+// removed and why, however many victims it took; a purge pass records
+// one expire span.
+func TestEvictAndExpirePassSpans(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	c, tel := newTracedCache(t, func(cfg *Config) {
+		cfg.Clock = clk
+		cfg.MaxBytes = 100
+	})
+	for i := 0; i < 10; i++ {
+		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {float64(i)}}, Value: i, Size: 10, TTL: time.Minute}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 135 bytes against a 100-byte bound: four 10-byte victims go.
+	if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {99}}, Value: "big", Size: 35, TTL: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	evicts := tel.Spans.Snapshot(telemetry.SpanFilter{Outcome: telemetry.OutcomeEvict})
+	if len(evicts) != 1 || len(evicts[0].Stages) != 1 || evicts[0].Stages[0].Detail != "evicted 4 (bytes)" {
+		t.Fatalf("evict spans = %+v, want one reading \"evicted 4 (bytes)\"", evicts)
+	}
+	if evicts[0].Layer != "core" || evicts[0].Trace == 0 {
+		t.Errorf("evict span = %+v", evicts[0])
+	}
+
+	clk.Advance(2 * time.Minute)
+	if n := c.PurgeExpired(); n != 6 {
+		t.Fatalf("purged %d, want the 6 one-minute survivors", n)
+	}
+	expires := tel.Spans.Snapshot(telemetry.SpanFilter{Outcome: telemetry.OutcomeExpire})
+	if len(expires) != 1 || expires[0].Stages[0].Detail != "expired 6" {
+		t.Fatalf("expire spans = %+v, want one reading \"expired 6\"", expires)
+	}
+}
+
+// A detached cache's eviction pass allocates nothing: the span and the
+// pass timer sit behind the telemetry nil check.
+func TestDetachedEvictionPassAllocs(t *testing.T) {
+	c, clk := newTestCache(t)
+	registerScalar(t, c, "f")
+	populate(t, c, 200)
+	c.cfg.MaxEntries = 200
+	evicted := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		c.cfg.MaxEntries--
+		c.admitMu.Lock()
+		n, _ := c.evictLocked(clk.Now())
+		c.admitMu.Unlock()
+		evicted += n
+	})
+	if evicted != 51 {
+		t.Fatalf("evicted %d entries over 51 passes, want one per pass", evicted)
+	}
+	if allocs != 0 {
+		t.Errorf("detached eviction pass allocates %.1f times, want 0", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,7 +12,7 @@ import (
 )
 
 // TestConcurrentChaos hammers one cache from many goroutines mixing
-// every public operation — lookups, puts, invalidations, snapshots,
+// every public operation — lookups, puts, invalidations, state captures,
 // registrations, stats, purges — under capacity pressure and TTL churn.
 // It asserts only invariants (no panics, no negative accounting,
 // byte/entry consistency); run with -race for the full value.
@@ -47,11 +46,7 @@ func TestConcurrentChaos(t *testing.T) {
 				case 0:
 					c.InvalidateRadius("f", "a", key, rng.Float64()*5)
 				case 1:
-					var buf bytes.Buffer
-					if _, err := c.WriteSnapshot(&buf); err != nil {
-						t.Error(err)
-						return
-					}
+					c.CaptureState()
 				case 2:
 					clk.Advance(time.Duration(rng.Intn(100)) * time.Millisecond)
 				case 3:

@@ -16,10 +16,10 @@ import (
 // not telemetry is attached. Attaching a *telemetry.Telemetry via
 // Config.Telemetry adds, per lookup, a sampled latency-histogram
 // observation (1-in-4: a monotonic clock read plus two atomic adds,
-// amortized) and, on selected outcomes, a bounded ring-buffer trace
-// record; everything exported to the metric registry is func-backed
-// (Counter.SetFunc / Gauge.SetFunc) reading the same atomics the cache
-// already maintains, so scrapes never double the bookkeeping.
+// amortized) and, on selected outcomes, a span (span.go); everything
+// exported to the metric registry is func-backed (Counter.SetFunc /
+// Gauge.SetFunc) reading the same atomics the cache already maintains,
+// so scrapes never double the bookkeeping.
 
 // ktCounters is the per-(function, key type) lookup outcome series.
 // Unlike the legacy global counters, misses here EXCLUDE dropouts, so
@@ -50,14 +50,6 @@ func (c *Cache) since(t time.Time) time.Duration {
 	}
 	return c.clk.Now().Sub(t)
 }
-
-// hitTraceSampleMask samples hit events into the tracer 1-in-64: hits
-// are the highest-rate outcome in a healthy cache and tracing each one
-// would make the tracer's ring cursor a global contention point on the
-// lookup path. Misses, dropouts, evictions, and expirations are traced
-// unsampled — they are the events worth debugging and are rare by
-// comparison.
-const hitTraceSampleMask = 63
 
 // latSampleMask samples latency observations 1-in-4. An observation
 // needs an end-of-lookup monotonic clock read (~35ns) plus a histogram

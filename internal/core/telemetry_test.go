@@ -145,8 +145,8 @@ func TestTelemetryCounterCoherence(t *testing.T) {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
-	if tel.Trace.Len() == 0 {
-		t.Error("tracer recorded no events despite misses/dropouts/puts")
+	if tel.Spans.Len() == 0 {
+		t.Error("span recorder recorded no spans despite misses/dropouts/puts")
 	}
 }
 

@@ -166,8 +166,9 @@ func (c *Client) Instrument(tel *telemetry.Telemetry) {
 }
 
 // Instrument attaches the tiered cache's remote-path health to a
-// telemetry hub: breaker transitions are counted, traced, and the
-// current state plus absorbed remote errors are exported as series.
+// telemetry hub: breaker transitions are counted and recorded as
+// zero-duration breaker spans, and the current state plus absorbed
+// remote errors are exported as series.
 func (t *Tiered) Instrument(tel *telemetry.Telemetry) {
 	r := tel.Registry
 	transitions := r.CounterVec("potluck_breaker_transitions_total",
@@ -185,9 +186,6 @@ func (t *Tiered) Instrument(tel *telemetry.Telemetry) {
 		})
 	t.breaker().SetNotify(func(from, to string) {
 		transitions.With(to).Inc()
-		tel.RecordEvent(telemetry.Event{
-			Kind:   telemetry.EventBreaker,
-			Detail: from + "->" + to,
-		})
+		tel.RecordSpan(telemetry.NoteSpan("tiered", telemetry.OutcomeBreaker, from+"->"+to, time.Now(), 0))
 	})
 }

@@ -226,7 +226,7 @@ func TestBreakerNotify(t *testing.T) {
 }
 
 // TestTieredInstrumented checks the breaker wiring: transitions reach
-// the counter vec and the event tracer.
+// the counter vec and the span recorder.
 func TestTieredInstrumented(t *testing.T) {
 	tel := telemetry.New()
 	tiered := &Tiered{Local: core.New(testConfig()), FailureThreshold: 1, Cooldown: time.Hour}
@@ -246,14 +246,8 @@ func TestTieredInstrumented(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	events := tel.Trace.Snapshot()
-	found := false
-	for _, ev := range events {
-		if ev.Kind == telemetry.EventBreaker && ev.Detail == "closed->open" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no breaker event in trace: %+v", events)
+	spans := tel.Spans.Snapshot(telemetry.SpanFilter{Outcome: telemetry.OutcomeBreaker})
+	if len(spans) != 1 || spans[0].Stages[0].Detail != "closed->open" {
+		t.Errorf("breaker spans = %+v, want one closed->open", spans)
 	}
 }

@@ -49,9 +49,10 @@ func AdminHandler(t *Telemetry, stats func() any) http.Handler {
 //	/metrics        Prometheus text exposition of the registry
 //	/stats          JSON snapshot from the stats callback (the daemon
 //	                supplies cache + server state; see service.AdminStats)
-//	/trace          JSON dump of the event ring, oldest first (?n= caps items)
-//	/trace/spans    JSON dump of retained request spans; filters:
+//	/trace          JSON dump of retained spans, oldest first; filters:
 //	                ?fn= ?layer= ?outcome= ?min= (duration) ?trace= (hex) ?n=
+//	                (?outcome=evict lists eviction passes)
+//	/trace/spans    the same view as /trace
 //	/whatif         JSON report of the counterfactual profiler (miss-ratio
 //	                curve, threshold sweeps, predicted-vs-measured); 404
 //	                when the daemon runs without -whatif
@@ -78,19 +79,7 @@ func AdminHandlerConfig(t *Telemetry, cfg AdminConfig) http.Handler {
 		}
 		writeJSON(w, v)
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		events := t.Trace.Snapshot()
-		n := queryInt(r, "n", defaultTraceItems)
-		if len(events) > n {
-			events = events[len(events)-n:]
-		}
-		writeJSON(w, struct {
-			Recorded uint64  `json:"recorded"`
-			Capacity int     `json:"capacity"`
-			Events   []Event `json:"events"`
-		}{t.Trace.Len(), t.Trace.Capacity(), events})
-	})
-	mux.HandleFunc("/trace/spans", func(w http.ResponseWriter, r *http.Request) {
+	traceSpans := func(w http.ResponseWriter, r *http.Request) {
 		f := SpanFilter{
 			Function: r.URL.Query().Get("fn"),
 			Layer:    r.URL.Query().Get("layer"),
@@ -119,7 +108,9 @@ func AdminHandlerConfig(t *Telemetry, cfg AdminConfig) http.Handler {
 			Capacity int    `json:"capacity"`
 			Spans    []Span `json:"spans"`
 		}{t.Spans.Len(), t.Spans.Capacity(), spans})
-	})
+	}
+	mux.HandleFunc("/trace", traceSpans)
+	mux.HandleFunc("/trace/spans", traceSpans)
 	mux.HandleFunc("/debug/explain", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.Explain == nil {
 			http.NotFound(w, r)

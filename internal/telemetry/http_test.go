@@ -83,7 +83,6 @@ func getResp(t *testing.T, srv *httptest.Server, path string) (*http.Response, s
 func TestAdminEndpointHeaders(t *testing.T) {
 	tel := New()
 	tel.Registry.Counter("c_total", "c").Inc()
-	tel.Trace.Record(Event{Kind: EventHit})
 	tel.Spans.Record(Span{Trace: 1, Outcome: OutcomeHit})
 	srv := httptest.NewServer(AdminHandlerConfig(tel, AdminConfig{
 		Stats:   func() any { return map[string]int{"x": 1} },
@@ -190,24 +189,84 @@ func TestDebugExplainEndpoint(t *testing.T) {
 	}
 }
 
-// /trace must honour ?n= and keep the most recent events.
+// /trace must honour ?n= and keep the most recent spans.
 func TestTraceEndpointCap(t *testing.T) {
 	tel := New()
 	for i := 0; i < 10; i++ {
-		tel.Trace.Record(Event{Kind: EventPut, Value: float64(i)})
+		tel.Spans.Record(Span{Trace: TraceID(i + 1), Outcome: OutcomePut})
 	}
 	srv := httptest.NewServer(AdminHandler(tel, nil))
 	defer srv.Close()
 	_, body := getResp(t, srv, "/trace?n=2")
 	var out struct {
-		Recorded uint64  `json:"recorded"`
-		Events   []Event `json:"events"`
+		Recorded uint64 `json:"recorded"`
+		Spans    []Span `json:"spans"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Recorded != 10 || len(out.Events) != 2 || out.Events[1].Value != 9 {
+	if out.Recorded != 10 || len(out.Spans) != 2 || out.Spans[1].Trace != 10 {
 		t.Fatalf("capped trace wrong: %+v", out)
+	}
+}
+
+func TestAdminHandler(t *testing.T) {
+	tel := New()
+	tel.Registry.Counter("potluck_test_total", "test").Add(7)
+	tel.Spans.Record(NoteSpan("core", OutcomeEvict, "evicted 1 (entries)", time.Unix(0, 1), 0))
+	tel.Spans.Record(Span{Trace: 1, Layer: "core", Outcome: OutcomeHit})
+	h := AdminHandler(tel, func() any {
+		return map[string]any{"hello": "world"}
+	})
+
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	if resp, body := getResp(t, srv, "/metrics"); resp.StatusCode != 200 || !strings.Contains(body, "potluck_test_total 7") {
+		t.Errorf("/metrics: code=%d body=%q", resp.StatusCode, body)
+	}
+	if resp, body := getResp(t, srv, "/stats"); resp.StatusCode != 200 || !strings.Contains(body, `"hello"`) {
+		t.Errorf("/stats: code=%d body=%q", resp.StatusCode, body)
+	}
+	// /trace is the span view: ?outcome=evict is the eviction feed.
+	resp, body := getResp(t, srv, "/trace?outcome=evict")
+	if resp.StatusCode != 200 {
+		t.Fatalf("/trace: code=%d", resp.StatusCode)
+	}
+	var trace struct {
+		Recorded uint64 `json:"recorded"`
+		Spans    []Span `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(body), &trace); err != nil {
+		t.Fatalf("/trace JSON: %v", err)
+	}
+	if trace.Recorded != 2 || len(trace.Spans) != 1 || trace.Spans[0].Stages[0].Detail != "evicted 1 (entries)" {
+		t.Errorf("/trace payload wrong: %+v", trace)
+	}
+	if resp, _ := getResp(t, srv, "/debug/pprof/cmdline"); resp.StatusCode != 200 {
+		t.Errorf("/debug/pprof/cmdline: code=%d", resp.StatusCode)
+	}
+	if resp, _ := getResp(t, srv, "/nope"); resp.StatusCode != 404 {
+		t.Errorf("unknown path: code=%d, want 404", resp.StatusCode)
+	}
+}
+
+func TestAdminHandlerNilStats(t *testing.T) {
+	tel := New()
+	tel.Registry.Gauge("g", "g").Set(1)
+	srv := httptest.NewServer(AdminHandler(tel, nil))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vals []SeriesValue
+	if err := json.NewDecoder(resp.Body).Decode(&vals); err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 1 || vals[0].Name != "g" {
+		t.Fatalf("fallback stats wrong: %+v", vals)
 	}
 }
 

@@ -13,22 +13,24 @@ import (
 
 // Span tracing: structured per-request records for the lookup pipeline.
 //
-// Where the event Tracer answers "what happened recently" with flat
-// one-line events, a Span answers "why did THIS lookup do what it did":
-// it carries the request's 64-bit trace ID, per-stage wall times, and
-// the decision inputs of the approximate-matching pipeline (nearest
-// distance, active threshold, tuner state, dropout roll, index probe
-// count). Spans are propagated across the IPC boundary by an optional
-// trailing trace-ID field in the wire protocol, so client, server, and
-// hub record into their own recorders under one shared ID.
+// A Span answers "why did THIS lookup do what it did": it carries the
+// request's 64-bit trace ID, per-stage wall times, and the decision
+// inputs of the approximate-matching pipeline (nearest distance, active
+// threshold, tuner state, dropout roll, index probe count). Spans are
+// propagated across the IPC boundary by an optional trailing trace-ID
+// field in the wire protocol, so client, server, and hub record into
+// their own recorders under one shared ID. State changes that no
+// request carries — an eviction or purge pass, a breaker transition, a
+// what-if divergence — are recorded as spans too (NoteSpan), so one
+// ring answers both "why this request" and "what happened recently".
 //
 // Retention is tail-based: a plain ring of recent spans would lose
 // exactly the spans worth keeping (the slow ones, the failures) to
 // overwrite by the fast majority. The recorder therefore keeps three
 // buffers — a reservoir of recent spans, a dedicated ring that only
-// error and dropout spans enter, and a slowest-N set guarded by an
-// atomic duration floor — so anomalies survive arbitrarily long hit
-// storms.
+// anomalies (errors, dropouts, breaker transitions, what-if
+// divergences) enter, and a slowest-N set guarded by an atomic duration
+// floor — so anomalies survive arbitrarily long hit storms.
 
 // TraceID identifies one logical request across layers and processes.
 // Zero means "untraced".
@@ -106,14 +108,37 @@ const (
 	StageAdmit   = "admit"   // put: expiry scheduling + capacity eviction
 )
 
-// Span outcomes.
+// Span outcomes. The last four mark state changes no request carries;
+// their spans hold one stage, named after the outcome, whose Detail
+// says what changed.
 const (
-	OutcomeHit     = "hit"
-	OutcomeMiss    = "miss"
-	OutcomeDropout = "dropout"
-	OutcomePut     = "put"
-	OutcomeError   = "error"
+	OutcomeHit        = "hit"
+	OutcomeMiss       = "miss"
+	OutcomeDropout    = "dropout"
+	OutcomePut        = "put"
+	OutcomeError      = "error"
+	OutcomeEvict      = "evict"             // one eviction pass (Detail = "evicted N (cause)")
+	OutcomeExpire     = "expire"            // one TTL purge pass (Detail = "expired N")
+	OutcomeBreaker    = "breaker"           // circuit-breaker transition (Detail = "[peer ]from->to")
+	OutcomeDivergence = "whatif-divergence" // predicted vs measured hit rate beyond tolerance
 )
+
+// NoteSpan builds the span of a state change that no request carries:
+// a fresh trace ID, the change's start time and duration (zero for an
+// instantaneous transition), and one stage whose Detail describes it.
+func NoteSpan(layer, outcome, detail string, start time.Time, dur time.Duration) Span {
+	return Span{
+		Trace:       NewTraceID(),
+		Start:       start.UnixNano(),
+		DurationNs:  int64(dur),
+		Layer:       layer,
+		Outcome:     outcome,
+		Distance:    -1,
+		DropoutRoll: -1,
+		Probes:      -1,
+		Stages:      []SpanStage{{Name: outcome, DurationNs: int64(dur), Detail: detail}},
+	}
+}
 
 // SpanStage is one timed step inside a span.
 type SpanStage struct {
@@ -217,16 +242,18 @@ func (f SpanFilter) match(sp *Span) bool {
 	return true
 }
 
-// spanSlot is one ring cell; same per-slot-mutex discipline as
-// traceSlot (writers only meet on a slot after a full ring wrap).
+// spanSlot is one ring cell. The per-slot mutex makes slot access
+// race-clean while keeping writers independent: two writers only meet
+// on the same slot after the ring has wrapped a full capacity between
+// them, so the lock is effectively uncontended.
 type spanSlot struct {
 	mu sync.Mutex
 	sp Span
 }
 
 // Default SpanRecorder shape: the reservoir holds the recent-request
-// window, the anomaly ring holds error/dropout spans that would
-// otherwise be overwritten by hit traffic, and slowest-N is the latency
+// window, the anomaly ring holds the anomalous spans (see anomalous)
+// that would otherwise be overwritten by hit traffic, and slowest-N is the latency
 // tail. ~1024 spans ≈ a few hundred KB; always-on territory.
 const (
 	DefaultSpanCapacity    = 1024
@@ -244,7 +271,7 @@ type SpanRecorder struct {
 	rmask  uint64
 	rcur   atomic.Uint64
 
-	anomalies []spanSlot // error + dropout spans, never displaced by hits
+	anomalies []spanSlot // anomalous spans, never displaced by hits
 	amask     uint64
 	acur      atomic.Uint64
 
@@ -304,7 +331,7 @@ func (r *SpanRecorder) Record(sp Span) {
 	slot.mu.Lock()
 	slot.sp = sp
 	slot.mu.Unlock()
-	if sp.Outcome == OutcomeError || sp.Outcome == OutcomeDropout {
+	if anomalous(sp.Outcome) {
 		aslot := &r.anomalies[(r.acur.Add(1)-1)&r.amask]
 		aslot.mu.Lock()
 		aslot.sp = sp
@@ -313,6 +340,17 @@ func (r *SpanRecorder) Record(sp Span) {
 	if sp.DurationNs > r.slowFloor.Load() {
 		r.recordSlow(sp)
 	}
+}
+
+// anomalous reports whether spans with this outcome also enter the
+// anomaly ring: the rare outcomes an operator debugs, which the recent
+// ring would lose to hit traffic.
+func anomalous(outcome string) bool {
+	switch outcome {
+	case OutcomeError, OutcomeDropout, OutcomeBreaker, OutcomeDivergence:
+		return true
+	}
+	return false
 }
 
 // recordSlow admits sp to the slowest-N set if it still beats the floor
@@ -435,4 +473,34 @@ func (r *SpanRecorder) Snapshot(f SpanFilter) []Span {
 // resolves here).
 func (r *SpanRecorder) Find(trace TraceID) []Span {
 	return r.Snapshot(SpanFilter{Trace: trace})
+}
+
+// Telemetry bundles the observability primitives one process shares
+// across layers: the metric registry, the span recorder, and the
+// process start time (for uptime reporting).
+type Telemetry struct {
+	Registry *Registry
+	// Spans retains per-request spans under tail-based sampling; see
+	// SpanRecorder.
+	Spans   *SpanRecorder
+	Started time.Time
+}
+
+// New returns a Telemetry with a fresh registry and a default-shape
+// span recorder.
+func New() *Telemetry {
+	return &Telemetry{
+		Registry: NewRegistry(),
+		Spans:    NewSpanRecorder(0, 0, 0),
+		Started:  time.Now(),
+	}
+}
+
+// RecordSpan records sp if t (and its span recorder) are non-nil, so
+// callers can hold an optional *Telemetry and record unconditionally.
+func (t *Telemetry) RecordSpan(sp Span) {
+	if t == nil {
+		return
+	}
+	t.Spans.Record(sp)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTraceIDString(t *testing.T) {
@@ -103,14 +104,20 @@ func TestSpanRecorderTailRetention(t *testing.T) {
 	if got := r.Find(slowTrace); len(got) != 1 || got[0].DurationNs != 1e9 {
 		t.Fatalf("slow span lost to the hit storm: %+v", got)
 	}
-	// Dropouts get the same treatment as errors.
-	dropTrace := NewTraceID()
-	r.Record(Span{Trace: dropTrace, Outcome: OutcomeDropout, DurationNs: 5})
-	for i := 0; i < 1000; i++ {
-		r.Record(Span{Trace: NewTraceID(), Outcome: OutcomeHit, DurationNs: 100})
-	}
-	if got := r.Find(dropTrace); len(got) != 1 {
-		t.Fatalf("dropout span lost: %+v", got)
+	// Dropouts, breaker transitions and what-if divergences get the same
+	// treatment as errors.
+	for _, sp := range []Span{
+		{Trace: NewTraceID(), Outcome: OutcomeDropout, DurationNs: 5},
+		NoteSpan("mesh", OutcomeBreaker, "B closed->open", time.Unix(0, 1), 0),
+		NoteSpan("whatif", OutcomeDivergence, "f/k predicted 0.5 measured 0.1", time.Unix(0, 1), 0),
+	} {
+		r.Record(sp)
+		for i := 0; i < 1000; i++ {
+			r.Record(Span{Trace: NewTraceID(), Outcome: OutcomeHit, DurationNs: 100})
+		}
+		if got := r.Find(sp.Trace); len(got) != 1 {
+			t.Fatalf("%s span lost: %+v", sp.Outcome, got)
+		}
 	}
 }
 

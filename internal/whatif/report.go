@@ -1,17 +1,13 @@
 package whatif
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"repro/internal/telemetry"
 )
-
-// EventWhatIfDivergence is the tracer event kind recorded when a
-// series' predicted-vs-measured hit-rate divergence exceeds tolerance
-// (Value = divergence, Aux = tolerance).
-const EventWhatIfDivergence = "whatif-divergence"
 
 // Report is the /whatif payload: every counterfactual curve plus the
 // sample-coverage numbers needed to judge how much to trust them.
@@ -199,11 +195,10 @@ func (p *Profiler) compute() Report {
 			if pr.sampledLookups >= minSamples && div > p.cfg.Tolerance {
 				row.Diverged = true
 				if p.cfg.Telemetry != nil {
-					p.cfg.Telemetry.RecordEvent(telemetry.Event{
-						At: time.Now().UnixNano(), Kind: EventWhatIfDivergence,
-						Function: kt.fn, KeyType: kt.kt,
-						Value: div, Aux: p.cfg.Tolerance,
-					})
+					sp := telemetry.NoteSpan("whatif", telemetry.OutcomeDivergence,
+						fmt.Sprintf("predicted %.3f measured %.3f tolerance %.3f", pred, meas, p.cfg.Tolerance), time.Now(), 0)
+					sp.Function, sp.KeyType = kt.fn, kt.kt
+					p.cfg.Telemetry.RecordSpan(sp)
 				}
 			}
 			if pr.sampledLookups >= minSamples && div > r.MaxDivergence {

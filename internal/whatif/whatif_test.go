@@ -336,6 +336,18 @@ func TestProfilerEndToEnd(t *testing.T) {
 	if pd.Divergence > 0.2 {
 		t.Fatalf("predicted %.3f diverges from measured %.3f beyond tolerance", pd.Predicted, pd.Measured)
 	}
+	// Divergence beyond tolerance, and only then, records a span.
+	divergences := func() []telemetry.Span {
+		return tel.Spans.Snapshot(telemetry.SpanFilter{Outcome: telemetry.OutcomeDivergence})
+	}
+	if got := divergences(); len(got) != 0 {
+		t.Fatalf("divergence spans within tolerance: %+v", got)
+	}
+	p.cfg.Tolerance, p.snap = 1e-12, nil // and skip the cached report
+	p.Snapshot()
+	if got := divergences(); len(got) != 1 || got[0].Function != "fn" || got[0].KeyType != "feat" {
+		t.Fatalf("divergence spans at a 1e-12 tolerance = %+v, want one for fn/feat", got)
+	}
 }
 
 // TestProfilerConcurrent exercises the tap, the drain loop, and

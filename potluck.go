@@ -127,8 +127,6 @@ type (
 	// Tiered chains a local cache with a remote peer service — the
 	// cross-device deduplication of the paper's §7 future work.
 	Tiered = service.Tiered
-	// SnapshotStats reports snapshot persistence coverage.
-	SnapshotStats = core.SnapshotStats
 	// Refiner adjusts a cached result to the exact current input
 	// (post-lookup incremental computation, §7).
 	Refiner = core.Refiner

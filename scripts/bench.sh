@@ -68,7 +68,11 @@
 # merging a change that touches the lookup, put, or key-generation
 # paths — the telemetry subsystem's <=5% overhead budget (DESIGN.md,
 # "Observability") is likewise enforced by comparing the telemetry-
-# on/telemetry-off variants of BenchmarkLookupParallel here. Note the
+# on/telemetry-off variants of BenchmarkLookupParallel here. Go names
+# a benchmark Name-N when it runs at GOMAXPROCS N > 1, so each side's
+# "-N" (the baseline's recorded "gomaxprocs", 1 when absent; this run's
+# $GOMAXPROCS or nproc) is stripped before names are matched, and the
+# gate fails when it matched no baseline benchmark at all. Note the
 # committed baseline was recorded on one specific machine: across
 # hosts the comparison tracks shape, not absolute truth, so re-record
 # (and commit) a baseline from your own machine before relying on the
@@ -521,26 +525,38 @@ if [ "$mode" = "compare" ]; then
 		sed "s/\\\\t/$tab/g; s/\\\\\"/\"/g; s/\\\\\\\\/\\\\/g" > "$base"
 	echo >&2
 	echo "comparing ns/op against $out ($(sed -n 's/^  "date": "\(.*\)",$/\1/p' "$out")):" >&2
-	awk -v thresh=10 '
+	base_procs=$(sed -n 's/^  "gomaxprocs": "\(.*\)",$/\1/p' "$out")
+	awk -v thresh=10 -v bprocs="${base_procs:-1}" -v cprocs="${GOMAXPROCS:-$(nproc)}" '
+		# norm strips the -N Go appends to a name at GOMAXPROCS N > 1;
+		# size suffixes such as hnsw-1000 are left alone.
+		function norm(name, procs) {
+			if (procs > 1) sub("-" procs "$", "", name)
+			return name
+		}
 		FNR == NR {
-			if ($1 ~ /^Benchmark/ && $4 == "ns/op") base[$1] = $3
+			if ($1 ~ /^Benchmark/ && $4 == "ns/op") base[norm($1, bprocs)] = $3
 			next
 		}
 		$1 ~ /^Benchmark/ && $4 == "ns/op" {
-			if (!($1 in base)) {
-				printf "  new        %-44s %14.0f ns/op\n", $1, $3
+			name = norm($1, cprocs)
+			if (!(name in base)) {
+				printf "  new        %-44s %14.0f ns/op\n", name, $3
 				next
 			}
-			b = base[$1]; n = $3; seen[$1] = 1
+			b = base[name]; n = $3; seen[name] = 1; compared++
 			pct = (b > 0) ? (n - b) / b * 100 : 0
 			mark = "ok        "
 			if (pct > thresh) { mark = "REGRESSED "; bad++ }
 			else if (pct < -thresh) mark = "improved  "
-			printf "  %s %-44s %14.0f -> %12.0f ns/op  (%+6.1f%%)\n", mark, $1, b, n, pct
+			printf "  %s %-44s %14.0f -> %12.0f ns/op  (%+6.1f%%)\n", mark, name, b, n, pct
 		}
 		END {
 			for (name in base) if (!(name in seen) && name !~ /^#/) missing++
 			if (missing) printf "  (%d baseline benchmark(s) not exercised by pattern)\n", missing
+			if (!compared) {
+				print "bench.sh: no baseline benchmark was compared"
+				exit 1
+			}
 			if (bad) {
 				printf "bench.sh: %d benchmark(s) regressed by more than %d%%\n", bad, thresh
 				exit 1
@@ -570,6 +586,7 @@ fi
 	printf '  "go": "%s",\n' "$(go env GOVERSION)"
 	printf '  "goos": "%s",\n' "$(go env GOOS)"
 	printf '  "goarch": "%s",\n' "$(go env GOARCH)"
+	printf '  "gomaxprocs": "%s",\n' "${GOMAXPROCS:-$(nproc)}"
 	printf '  "benchtime": "%s",\n' "$benchtime"
 	printf '  "pattern": "%s",\n' "$pattern"
 	printf '  "output": ['
