@@ -371,8 +371,8 @@ func TestCrashEmptyActiveSegment(t *testing.T) {
 	buildDir(t, dir, 10)
 
 	// Kill point: between segment creation and its magic reaching disk
-	// (Open writes the magic through a buffer). Model it as a
-	// zero-length newest segment.
+	// (Open syncs the magic right after creating the file). Model it as
+	// a zero-length newest segment.
 	segs, _, err := scanDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +388,89 @@ func TestCrashEmptyActiveSegment(t *testing.T) {
 	}
 	if !rstats.TornTail {
 		t.Fatalf("empty trailing segment not flagged as torn: %+v", rstats)
+	}
+}
+
+// TestCrashCutSegmentThenLaterBoot: a crash leaves the newest segment
+// empty (mid-creation) or torn (mid-append), the next boot appends to a
+// later segment and crashes before any snapshot. Recovery loses only
+// the torn record and keeps the later boot's records.
+func TestCrashCutSegmentThenLaterBoot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(t *testing.T, dir string)
+		kept int // entries of the first boot that survive the cut
+	}{
+		{"empty", func(t *testing.T, dir string) {
+			segs, _, err := scanDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segPath(dir, segs[len(segs)-1]+1), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 50},
+		{"torn", func(t *testing.T, dir string) {
+			path := newestSegment(t, dir)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()-3); err != nil {
+				t.Fatal(err)
+			}
+		}, 49},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildDir(t, dir, 50)
+			tc.cut(t, dir)
+
+			c2, _, rstats := recoverInto(t, dir, time.Unix(0, 0).Add(time.Minute))
+			if rstats.Entries != tc.kept {
+				t.Fatalf("second boot recovered %d entries, want %d", rstats.Entries, tc.kept)
+			}
+			for i := 100; i < 110; i++ {
+				put(t, c2, float64(i), fmt.Sprintf("v%d", i))
+			}
+
+			c3, _, rstats := recoverInto(t, dir, time.Unix(0, 0).Add(2*time.Minute))
+			if rstats.Entries != tc.kept+10 || !rstats.TornTail {
+				t.Fatalf("third boot: %+v, want %d entries and a torn tail", rstats, tc.kept+10)
+			}
+			wantHit(t, c3, 48, "v48")
+			wantHit(t, c3, 109, "v109")
+		})
+	}
+}
+
+// TestIdleSegmentMagicDurable: a log that is opened and never written
+// has already synced its active segment's magic, so a crash while idle
+// leaves a segment recovery can read, not an empty file.
+func TestIdleSegmentMagicDurable(t *testing.T) {
+	dir := t.TempDir()
+	var synced []string
+	syncFile = func(f *os.File) error {
+		synced = append(synced, f.Name())
+		return f.Sync()
+	}
+	defer func() { syncFile = func(f *os.File) error { return f.Sync() } }()
+
+	l, err := Open(Config{Dir: dir, Fsync: FsyncInterval, FsyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	path := segPath(dir, l.segSeq)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != segMagic {
+		t.Fatalf("idle segment holds %q, want the magic %q", data, segMagic)
+	}
+	if len(synced) != 1 || synced[0] != path {
+		t.Fatalf("files synced by Open = %v, want [%s]", synced, path)
 	}
 }
 

@@ -22,8 +22,9 @@ type RecoveryStats struct {
 	SegmentsReplayed int
 	// RecordsReplayed is the number of valid log records applied.
 	RecordsReplayed int
-	// TornTail reports that replay stopped at a torn or corrupt record
-	// — the expected signature of a crash mid-append.
+	// TornTail reports the signature of a crash: replay cut a segment
+	// short at a torn or corrupt record (a crash mid-append), or passed
+	// over a segment whose magic never reached disk (mid-creation).
 	TornTail bool
 	// Functions and Entries size the state handed to core.Cache.Restore.
 	Functions int
@@ -36,11 +37,14 @@ type RecoveryStats struct {
 // snapshot plus a replay of every segment the snapshot does not cover.
 // Replay is idempotent by entry ID — a put upserts, a delete removes —
 // so records duplicated between a snapshot capture and its pre-roll are
-// harmless. Replay stops at the first torn record (a crash mid-append
-// tears only the tail of the newest segment; anything after a tear is
-// unordered noise). The caller feeds the returned state to
-// core.Cache.Restore, which drops entries whose absolute expiry passed
-// while the process was down.
+// harmless. A segment's replay stops at its first torn record (a crash
+// mid-append tears the tail of the segment that was active; the bytes
+// after a tear are noise), and replay goes on with the next segment: a
+// roll syncs the segment it finishes, so a torn segment with later ones
+// was the last of its boot, and the later ones were written by a boot
+// that recovered exactly the records before the tear. The caller feeds
+// the returned state to core.Cache.Restore, which drops entries whose
+// absolute expiry passed while the process was down.
 //
 // Call Recover once, after Open and before the cache serves traffic.
 func (l *Log) Recover() (*core.DurableState, RecoveryStats, error) {
@@ -95,7 +99,7 @@ replay:
 			// An empty or partially created segment: a crash between
 			// file creation and the magic reaching disk. Nothing in it.
 			stats.TornTail = true
-			break replay
+			continue
 		}
 		data = data[len(segMagic):]
 		stats.SegmentsReplayed++
@@ -103,7 +107,7 @@ replay:
 			payload, rest, ok, torn := nextRecord(data)
 			if torn {
 				stats.TornTail = true
-				break replay
+				continue replay
 			}
 			if !ok {
 				break
@@ -115,14 +119,14 @@ replay:
 				fn, kts := r.register()
 				if r.err != nil {
 					stats.TornTail = true
-					break replay
+					continue replay
 				}
 				applyRegister(funcs, &order, fn, kts)
 			case recPut:
 				rec := r.entryBody()
 				if r.err != nil {
 					stats.TornTail = true
-					break replay
+					continue replay
 				}
 				if rec.ID > maxID {
 					maxID = rec.ID
@@ -133,14 +137,14 @@ replay:
 				id := r.uvarint()
 				if r.err != nil {
 					stats.TornTail = true
-					break replay
+					continue replay
 				}
 				delete(entries, id)
 			default:
-				// A record type from a future format version: stop, the
-				// same way a torn tail stops replay.
+				// A record type from a future format version: stop this
+				// segment, the same way a torn tail stops it.
 				stats.TornTail = true
-				break replay
+				continue replay
 			}
 			stats.RecordsReplayed++
 		}
